@@ -14,10 +14,9 @@
 // Virtual results (paper times, checksums) must be bit-identical across
 // the two modes — the optimization may only move host time, never virtual
 // time — and the JSON reports the comparison alongside the speedup.
-// `events_per_sec` counts simulated (per-charge-equivalent) events so both
-// modes are measured against the same denominator of work;
-// `switches_per_message` exposes how many fiber round-trips each AM-level
-// packet costs after debt folding.
+// `messages_per_sec` counts AM-level packets per host second, a count that
+// is identical in both modes; `switches_per_message` exposes how many
+// fiber round-trips each packet costs after debt folding.
 //
 // Usage: bench_app_perf [--quick] [--no-localclock] [--out <path>]
 // --no-localclock measures only the reference mode (for profiling the
@@ -25,7 +24,6 @@
 // BENCH_app_perf.json in the cwd) and prints it to stdout.  Exit code is 0
 // even when slower than baseline: judging the numbers is the driver's job,
 // producing them is ours.
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -38,29 +36,13 @@
 #include "harness.hpp"
 #include "mpif/mpi_world.hpp"
 #include "sim/fiber.hpp"
-#include "sphw/payload.hpp"
 #include "splitc/splitc_world.hpp"
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double secs_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-/// Snapshot of every allocation counter the hot path can touch.
-struct AllocCounters {
-  std::uint64_t event_nodes;
-  std::uint64_t heap_actions;
-  std::uint64_t payload_buffers;
-  static AllocCounters sample(spam::sim::Engine& engine) {
-    const auto pool = engine.pool_stats();
-    const auto payload = spam::sphw::PayloadPool::instance().stats();
-    return {pool.nodes_allocated, pool.action_heap_fallbacks,
-            payload.buffers_allocated};
-  }
-};
+using spam::bench::AllocCounters;
+using spam::bench::Clock;
+using spam::bench::secs_since;
 
 /// One workload in one mode: the measured (second) repetition.
 struct ModeResult {
@@ -69,11 +51,12 @@ struct ModeResult {
   std::uint64_t checksum = 0;   // app-level verification value
   bool valid = false;
   std::uint64_t events = 0;     // engine events executed
-  std::uint64_t simulated = 0;  // per-charge-equivalent events
   std::uint64_t switches = 0;   // fiber resumes
   std::uint64_t messages = 0;   // AM-level packets (adapter tx)
   std::uint64_t new_allocs = 0; // pool growth across the measured rep
-  double events_per_sec() const { return wall_s > 0 ? simulated / wall_s : 0; }
+  double messages_per_sec() const {
+    return wall_s > 0 ? messages / wall_s : 0;
+  }
   double switches_per_message() const {
     return messages > 0 ? static_cast<double>(switches) / messages : 0;
   }
@@ -109,7 +92,6 @@ ModeResult measure(spam::sim::Engine& engine, TxPackets&& tx_packets,
   ModeResult r;
   const auto wall0 = Clock::now();
   const std::uint64_t ev0 = engine.events_executed();
-  const std::uint64_t sim0 = engine.events_simulated();
   const std::uint64_t sw0 = spam::sim::Fiber::resume_count();
   const std::uint64_t tx0 = tx_packets();
   const AllocCounters a0 = AllocCounters::sample(engine);
@@ -119,13 +101,9 @@ ModeResult measure(spam::sim::Engine& engine, TxPackets&& tx_packets,
   r.checksum = v.checksum;
   r.valid = v.valid;
   r.events = engine.events_executed() - ev0;
-  r.simulated = engine.events_simulated() - sim0;
   r.switches = spam::sim::Fiber::resume_count() - sw0;
   r.messages = tx_packets() - tx0;
-  const AllocCounters a1 = AllocCounters::sample(engine);
-  r.new_allocs = (a1.event_nodes - a0.event_nodes) +
-                 (a1.heap_actions - a0.heap_actions) +
-                 (a1.payload_buffers - a0.payload_buffers);
+  r.new_allocs = (AllocCounters::sample(engine) - a0).total();
   return r;
 }
 
@@ -222,9 +200,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   const bool quick = spam::bench::options().quick;
-  const std::string out = spam::bench::options().out.empty()
-                              ? "BENCH_app_perf.json"
-                              : spam::bench::options().out;
 
   using spam::apps::SortVariant;
   const std::size_t keys = quick ? 8 * 1024 : 64 * 1024;
@@ -311,14 +286,13 @@ int main(int argc, char** argv) {
       std::snprintf(
           buf, sizeof buf,
           "\"%s\": {\"wall_s\": %.6f, \"virt_s\": %.9f, \"valid\": %s, "
-          "\"events\": %llu, \"events_simulated\": %llu, "
-          "\"events_per_sec\": %.0f, \"switches\": %llu, \"messages\": %llu, "
-          "\"switches_per_message\": %.3f, \"new_allocs\": %llu}",
+          "\"events\": %llu, \"switches\": %llu, \"messages\": %llu, "
+          "\"messages_per_sec\": %.0f, \"switches_per_message\": %.3f, "
+          "\"new_allocs\": %llu}",
           key, m.wall_s, m.virt_s, m.valid ? "true" : "false",
           static_cast<unsigned long long>(m.events),
-          static_cast<unsigned long long>(m.simulated), m.events_per_sec(),
           static_cast<unsigned long long>(m.switches),
-          static_cast<unsigned long long>(m.messages),
+          static_cast<unsigned long long>(m.messages), m.messages_per_sec(),
           m.switches_per_message(),
           static_cast<unsigned long long>(m.new_allocs));
       return std::string(buf);
@@ -358,13 +332,5 @@ int main(int argc, char** argv) {
                 quick ? "true" : "false");
   json += buf;
 
-  std::fputs(json.c_str(), stdout);
-  if (std::FILE* fp = std::fopen(out.c_str(), "w")) {
-    std::fputs(json.c_str(), fp);
-    std::fclose(fp);
-  } else {
-    std::fprintf(stderr, "bench_app_perf: cannot write %s\n", out.c_str());
-    return 1;
-  }
-  return 0;
+  return spam::bench::write_report(json, "BENCH_app_perf.json");
 }

@@ -9,7 +9,6 @@
 // prints it to stdout.  Exit code is non-zero only if the serial and
 // parallel sweeps disagree — speedup is recorded, not judged (a 1-core
 // host cannot speed up, and honestly says so in "host_cores").
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -21,11 +20,8 @@
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double secs_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
+using spam::bench::Clock;
+using spam::bench::secs_since;
 
 /// One cold sweep at `jobs` threads: clear the cache, compute every point,
 /// render the table.  Returns (render, wall seconds).
@@ -48,9 +44,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   const bool quick = spam::bench::options().quick;
-  const std::string out = spam::bench::options().out.empty()
-                              ? "BENCH_sweep_perf.json"
-                              : spam::bench::options().out;
 
   std::vector<std::size_t> sizes = spam::bench::figure3_sizes();
   if (quick) sizes = {16, 512, 8192, 65536, 1u << 20};
@@ -86,14 +79,7 @@ int main(int argc, char** argv) {
                 identical ? "true" : "false", quick ? "true" : "false");
   json += buf;
 
-  std::fputs(json.c_str(), stdout);
-  if (std::FILE* fp = std::fopen(out.c_str(), "w")) {
-    std::fputs(json.c_str(), fp);
-    std::fclose(fp);
-  } else {
-    std::fprintf(stderr, "bench_sweep_perf: cannot write %s\n", out.c_str());
-    return 1;
-  }
+  if (spam::bench::write_report(json, "BENCH_sweep_perf.json") != 0) return 1;
   if (!identical) {
     std::fprintf(stderr,
                  "bench_sweep_perf: serial and parallel sweeps disagree\n");

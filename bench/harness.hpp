@@ -21,12 +21,15 @@
 // aggregation order.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "report/report.hpp"
+#include "sim/engine.hpp"
 
 namespace spam::bench {
 
@@ -68,5 +71,34 @@ std::vector<std::function<void()>> fig3_points(
 
 /// The rendered Figure 3 table for `sizes` (reads cached points when warm).
 report::Table fig3_table(const std::vector<std::size_t>& sizes);
+
+// --- Host-time measurement ------------------------------------------------
+// Shared by the host-perf benches (bench_host_perf, bench_app_perf,
+// bench_sweep_perf), which report host time rather than virtual time.
+
+using Clock = std::chrono::steady_clock;
+
+/// Host seconds elapsed since `t0`.
+double secs_since(Clock::time_point t0);
+
+/// Snapshot of every allocation counter the simulator hot path can touch.
+/// The difference of two snapshots around a measured steady-state phase
+/// must be zero: that is the zero-allocation property the benches assert.
+struct AllocCounters {
+  std::uint64_t event_nodes = 0;      // Engine pool growth
+  std::uint64_t heap_actions = 0;     // InlineAction heap fallbacks
+  std::uint64_t payload_buffers = 0;  // PayloadPool growth
+
+  static AllocCounters sample(const sim::Engine& engine);
+  AllocCounters operator-(const AllocCounters& before) const;
+  std::uint64_t total() const {
+    return event_nodes + heap_actions + payload_buffers;
+  }
+};
+
+/// Prints a host-perf JSON report to stdout and writes it to options().out
+/// (or `default_path` when --out was absent).  Returns the exit code: 0, or
+/// 1 when the file cannot be written.
+int write_report(const std::string& json, const char* default_path);
 
 }  // namespace spam::bench

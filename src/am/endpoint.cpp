@@ -67,9 +67,8 @@ void Endpoint::wait_for_window(int dst, std::uint8_t channel,
 
 SPAM_HOT void Endpoint::merge_empty_polls() {
   if (!ctx_.engine().fastpath()) return;
-  // Flush charge debt before sampling the adapter: the rx-ready state and
-  // ready-time hints below are exact only at the node's virtual instant.
-  ctx_.settle();
+  // host_rx_ready() settles charge debt: the rx-ready state and ready-time
+  // hint below are read at the node's virtual instant.
   if (adapter_.host_rx_ready()) return;
   const sim::Time ready = adapter_.host_rx_ready_time();
   if (ready == 0) return;
@@ -80,7 +79,7 @@ SPAM_HOT void Endpoint::merge_empty_polls() {
   // Polls at now + i*quantum for i = 1..k sample strictly before `ready`,
   // so each would charge its quantum, drain nothing, and leave bulk
   // progress untouched: one elapse of k quanta reaches the same instant
-  // and the k-1 intermediate wakes are elided.
+  // without the k-1 intermediate wakes.
   sim::Time k = (ready - now - 1) / quantum;
   bool count_streak = false;
   if (!in_poll_ && have_unacked_retrans()) {
@@ -94,7 +93,6 @@ SPAM_HOT void Endpoint::merge_empty_polls() {
     count_streak = true;
   }
   ctx_.elapse(k * quantum);
-  ctx_.engine().note_elided(static_cast<std::int64_t>(k) - 1);
   // Each merged poll was a top-level empty poll: replicate the keep-alive
   // bookkeeping (nested polls leave the streak alone, as poll() does).
   if (count_streak) empty_poll_streak_ += static_cast<int>(k);
@@ -134,7 +132,7 @@ void Endpoint::wait_for_fifo_space(int needed) {
   // Fast path: FIFO-free instants are fixed at submit time, so every poll
   // sample strictly before the adapter's ready hint must read false — fuse
   // those definitely-false quanta into one elapse of identical total
-  // virtual time (k quanta) and count the merged wake timers as elided.
+  // virtual time (k quanta).
   const sim::Time quantum = sim::usec(0.5);
   for (;;) {
     if (adapter_.host_send_free() >= needed) return;
@@ -144,7 +142,6 @@ void Endpoint::wait_for_fifo_space(int needed) {
       const sim::Time k = (ready - now - 1) / quantum;
       // spam-lint: charge-ok — k polls elided into one batched sleep
       ctx_.elapse(k * quantum);
-      ctx_.engine().note_elided(static_cast<std::int64_t>(k) - 1);
     }
     // spam-lint: charge-ok — one quantum per residual probe; the batch
     // above already collapsed the predictable part of the wait
@@ -154,11 +151,6 @@ void Endpoint::wait_for_fifo_space(int needed) {
 
 SPAM_HOT void Endpoint::enqueue_sequenced_packet(sphw::Packet pkt, TxChan& tx,
                                         bool save, int doorbell_npackets) {
-  // The ack stamping and retransmit save below touch only this fiber's
-  // state and do not read the clock, so running them before the
-  // bookkeeping charge (instead of after) is unobservable; that lets the
-  // fast path hand the charge to host_enqueue as a merged lead_charge.
-  const sim::Time bookkeeping = sim::usec(params_.bookkeeping_us);
   stamp_acks(pkt.dst, pkt);
   if (save) {
     if (pkt.chunk_idx == 0) {
@@ -172,16 +164,12 @@ SPAM_HOT void Endpoint::enqueue_sequenced_packet(sphw::Packet pkt, TxChan& tx,
     tx.retrans.back().packets.push_back(pkt);
   }
   ++tx.packets_in_flight;
-  if (ctx_.engine().fastpath() && adapter_.host_send_free() >= 1) {
-    // FIFO space already available: free instants only move toward us, so
-    // the wait below would return without elapsing, and the bookkeeping
-    // charge can ride host_enqueue's merged elapse.
-    adapter_.host_enqueue(ctx_, std::move(pkt), doorbell_npackets,
-                          bookkeeping);
-    return;
-  }
-  ctx_.elapse(bookkeeping);
-  wait_for_fifo_space(1);
+  // Read the FIFO before charging the bookkeeping: free entries only grow
+  // with time, so space seen now is still there after the charge, and the
+  // charge can ride the enqueue's settle instead of forcing its own.
+  const bool have_space = adapter_.host_send_free() >= 1;
+  ctx_.charge_deferred(sim::usec(params_.bookkeeping_us));
+  if (!have_space) wait_for_fifo_space(1);
   adapter_.host_enqueue(ctx_, std::move(pkt), doorbell_npackets);
 }
 
@@ -436,8 +424,7 @@ bool Endpoint::try_send_next_chunk(int dst, std::uint8_t channel,
     pkt.payload = op.data.slice(off, nbytes);
     // Batch the doorbell: one length-array store covers several packets,
     // so the adapter starts fetching while the host keeps writing.  The
-    // batch-completing enqueue rings it, letting the fast path fold the
-    // MicroChannel access into its merged elapse.
+    // batch-completing enqueue rings it.
     ++undoorbelled;
     int doorbell_n = 0;
     if (undoorbelled == batch || i == npackets - 1) {
@@ -705,14 +692,14 @@ SPAM_HOT void Endpoint::poll() {
   ctx_.elapse(sim::usec(params_.poll_empty_us));
   bool received = false;
   while (adapter_.host_rx_ready()) {
-    // The per-message handling charge rides the take's copy elapse when the
-    // adapter can prove the merge exact (non-flush takes under fastpath).
-    sphw::Packet pkt =
-        adapter_.host_rx_take(ctx_, sim::usec(params_.per_msg_handling_us));
-    handle_packet(std::move(pkt));
-    // Handlers may charge deferred CPU time; settle so the next rx-ready
-    // read sees every arrival up to this node's virtual instant.
+    sphw::Packet pkt = adapter_.host_rx_take(ctx_);
+    // spam-lint: charge-ok — per-message handling IS the per-packet cost
+    // model; it folds into the take's copy charge
+    ctx_.charge_deferred(sim::usec(params_.per_msg_handling_us));
+    // Handlers write memory other nodes' fibers read: run them at this
+    // node's virtual instant.
     ctx_.settle();
+    handle_packet(std::move(pkt));
     received = true;
   }
   progress_bulk();

@@ -208,7 +208,6 @@ SPAM_HOT bool Engine::try_skip_elapse(Time d) {
   // wake timer (its seq is smaller — it was already queued).
   if (next_time_lower_bound() <= target) return false;
   now_ = target;
-  ++elided_;  // the wake event per-hop mode would have scheduled + popped
   return true;
 }
 

@@ -21,16 +21,11 @@
 // counters that let benchmarks and tests assert the zero-allocation
 // property.
 //
-// The engine also hosts the *fast-path accounting* shared by the network
-// fast path (src/sphw) and the fiber layer (src/sim/world.cpp):
-//
-//   * try_skip_elapse(d) advances the clock across a dead interval without
-//     scheduling a wake event, when provably equivalent (no pending event
-//     at or before now()+d, and now()+d within the active run deadline);
-//   * note_elided(n) lets higher layers record events they proved away
-//     (fused deliveries, lazily settled FIFO frees), so
-//     events_simulated() = events_executed() + events_elided() stays the
-//     per-hop-equivalent event count whichever mode produced it.
+// The engine also hosts the elapse skip used by the fiber layer
+// (src/sim/world.cpp): try_skip_elapse(d) advances the clock across a dead
+// interval without scheduling a wake event, when provably equivalent (no
+// pending event at or before now()+d, and now()+d within the active run
+// deadline).
 #pragma once
 
 #include <array>
@@ -97,32 +92,12 @@ class Engine {
 
   /// Fast path for NodeCtx::elapse: if no pending event fires at or before
   /// now()+d and now()+d does not cross the active run()/run_until()
-  /// deadline, advances the clock directly and records one elided event
-  /// (the wake timer that per-hop mode would have scheduled and executed).
+  /// deadline, advances the clock directly (no wake timer is scheduled).
   /// Returns false — caller must schedule + yield as usual — otherwise.
   bool try_skip_elapse(Time d);
 
-  /// Records `n` per-hop-equivalent events proven away (or un-proven:
-  /// fast-path disengagement passes a negative delta when it re-schedules
-  /// the real events).  The running sum never dips below zero because a
-  /// rollback only ever returns credit taken earlier.
-  void note_elided(std::int64_t n) { elided_ += n; }
-
   /// Total events executed since construction (monotonic; host-perf metric).
   std::uint64_t events_executed() const { return executed_; }
-
-  /// Events proven away by fast paths (fused deliveries, skipped elapse
-  /// timers, lazily settled FIFO frees).
-  std::uint64_t events_elided() const {
-    return static_cast<std::uint64_t>(elided_);
-  }
-
-  /// Per-hop-equivalent event count: what events_executed() would read if
-  /// every fast path were disabled.  This is the bench throughput
-  /// numerator, so fused and unfused runs measure the same work.
-  std::uint64_t events_simulated() const {
-    return executed_ + static_cast<std::uint64_t>(elided_);
-  }
 
   /// Allocation counters for the event core.  In steady state (after
   /// warmup) scheduling events must not change `nodes_allocated` or
@@ -204,7 +179,6 @@ class Engine {
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::int64_t elided_ = 0;
   bool stopped_ = false;
   bool fastpath_ = true;
   bool localclock_ = true;

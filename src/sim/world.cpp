@@ -22,29 +22,14 @@ struct RunningNodeGuard {
   RunningNodeGuard& operator=(const RunningNodeGuard&) = delete;
 };
 
-// Trace pre-emit hook: a trace line renders engine-ordered state (the
-// timestamp), so emission is an interaction point — the running node
-// settles its charge debt first.  Keeps the trace stream byte-identical
-// between local-clock modes.
-void settle_running_node() {
-  if (NodeCtx* running = tl_running_node) running->settle();
-}
-
 }  // namespace
 
 void NodeCtx::elapse(Time d) {
   assert(Fiber::current() == fiber_ && "elapse() must run on the node fiber");
-  if (debt_ != 0 || debt_charges_ != 0) {
-    // Fold the charge ledger into this sleep: same uint64-ns additions in
-    // the same order as per-call elapses, so the wake instant is
-    // bit-identical.  Each folded charge is one elapse the per-call path
-    // would have performed — credit them to the elide ledger so
-    // events_simulated() matches across modes.
-    d += debt_;
-    engine().note_elided(static_cast<std::int64_t>(debt_charges_));
-    debt_ = 0;
-    debt_charges_ = 0;
-  }
+  // Fold the charge debt into this sleep: same uint64-ns additions in the
+  // same order as per-call elapses, so the wake instant is bit-identical.
+  d += debt_;
+  debt_ = 0;
   // Fast path: when no pending event would fire during the interval, the
   // wake timer and two fiber switches are pure overhead — advance the
   // clock in place.  Equivalent because nothing could have observed or
@@ -99,7 +84,7 @@ std::function<void()> NodeCtx::make_resumer() {
       // Called from some fiber: defer so fibers never switch directly.
       // Settle the caller first — the deferred delivery must be stamped
       // with the caller's virtual instant, not a stale engine clock.
-      if (NodeCtx* running = tl_running_node) running->settle();
+      settle_running_node();
       engine().at(engine().now(), deliver);
     }
   };
@@ -111,8 +96,9 @@ World::World(int num_nodes, std::uint64_t seed) : root_rng_(seed) {
     nodes_.push_back(std::make_unique<NodeCtx>(*this, r, root_rng_.split(r)));
   }
   // Trace emission is a charge-debt interaction point (the line renders a
-  // timestamp); idempotent across Worlds — the hook only touches the
-  // thread's running node.
+  // timestamp, and settling keeps the trace stream byte-identical between
+  // local-clock modes); idempotent across Worlds — the hook only touches
+  // the thread's running node.
   Trace::set_pre_emit_hook(&settle_running_node);
 }
 

@@ -14,7 +14,8 @@
 // Debt is summed with the same uint64-ns additions in the same order the
 // per-call path would have used, so virtual times are bit-identical by
 // construction (DESIGN.md §8).  The engine's `localclock` knob disables
-// deferral (`charge` degenerates to `elapse`) for dual-mode comparison.
+// deferral of compute charges (`charge` degenerates to `elapse`) for
+// dual-mode comparison.
 #pragma once
 
 #include <cassert>
@@ -71,6 +72,15 @@ class NodeCtx {
   /// Charges fractional microseconds of deferred CPU time.
   void charge_us(double us) { charge(usec(us)); }
 
+  /// Like charge(), but deferred in both local-clock modes.  The adapter
+  /// and AM layers charge their fiber-local per-packet costs (FIFO store
+  /// and flush, doorbell access, copy-out, protocol bookkeeping) this way.
+  /// Per-call elapses would draw the final wake's tie-break seq at the last
+  /// charge instead of the first, which can reorder same-instant events of
+  /// other nodes; keeping these costs merged in both modes leaves
+  /// --no-localclock a per-call reference for application compute only.
+  void charge_deferred(Time d);
+
   /// Materializes any outstanding charge debt as a single engine sleep.
   /// No-op when the ledger is empty.  Every path that yields the fiber or
   /// exposes engine-ordered state calls this first.
@@ -104,6 +114,7 @@ class NodeCtx {
   void poll_until(Pred&& done, Time poll_cost) {
     assert(poll_cost > 0 && "zero-cost poll loop would freeze virtual time");
     settle();
+    // spam-lint: charge-ok — one quantum per check IS the polling model
     while (!done()) elapse(poll_cost);
   }
 
@@ -118,20 +129,23 @@ class NodeCtx {
   SleepState sleep_state_ = SleepState::kRunning;
   bool wake_pending_ = false;
   // Local virtual clock: CPU time charged but not yet materialized as an
-  // engine sleep, and the number of charge() calls it folds (each one is
-  // an elapse the per-call path would have performed; settlement reports
-  // them to the engine's elide ledger so events_simulated() is identical
-  // in both modes).
+  // engine sleep.
   Time debt_ = 0;
-  std::uint64_t debt_charges_ = 0;
 };
 
 /// The node whose fiber is currently executing, nullptr in the main/engine
 /// context.  Maintained by the three resume sites in world.cpp; read by
-/// cross-node now(), fiber-originated resumer delivery, and the trace
-/// pre-emit hook to settle the running node's charge debt before its state
-/// becomes observable.
+/// cross-node now(), fiber-originated resumer delivery, the trace pre-emit
+/// hook, and the host-side adapter calls to settle the running node's
+/// charge debt before its state becomes observable.
 inline thread_local NodeCtx* tl_running_node = nullptr;
+
+/// Settles the running node's charge debt (no-op in the main/engine
+/// context).  The one rule of the local clock: a host-side call that
+/// touches engine-visible state settles its caller first.
+inline void settle_running_node() {
+  if (NodeCtx* running = tl_running_node) running->settle();
+}
 
 class World {
  public:
@@ -181,37 +195,26 @@ inline Time NodeCtx::now() {
   // node so the engine clock has advanced to the instant the per-call
   // path would observe from.  (A non-running node's own debt is always
   // zero — every yield path settles first.)
-  NodeCtx* running = tl_running_node;
-  if (running != nullptr && running != this) running->settle();
+  if (tl_running_node != this) settle_running_node();
   return engine().now() + debt_;
 }
 
-// Under the production local-clock regime charge() only accrues debt; the
-// elapse() below is the --no-localclock diagnostic fallback, which no
-// inline-handler build enables.  spam-lint: never-suspends
 inline void NodeCtx::charge(Time d) {
-  assert(Fiber::current() == fiber_ && "charge() must run on the node fiber");
   if (!engine().localclock()) {
     elapse(d);
     return;
   }
+  charge_deferred(d);
+}
+
+inline void NodeCtx::charge_deferred(Time d) {
+  assert(Fiber::current() == fiber_ && "charge() must run on the node fiber");
   debt_ += d;
-  ++debt_charges_;
 }
 
 inline void NodeCtx::settle() {
-  if (debt_ == 0 && debt_charges_ == 0) return;
-  // The elapse below stands in for the LAST deferred charge; the rest are
-  // counted as elided here.  (An elapse() that folds debt counts all n
-  // deferred charges as elided because the elapse itself exists in both
-  // modes — a settle's sleep does not, so it must count n events total to
-  // keep events_simulated() identical to per-charge mode, where settle()
-  // is a no-op.)
-  const Time d = debt_;
-  engine().note_elided(static_cast<std::int64_t>(debt_charges_) - 1);
-  debt_ = 0;
-  debt_charges_ = 0;
-  elapse(d);
+  if (debt_ == 0) return;
+  elapse(0);  // folds the debt into one sleep
 }
 
 }  // namespace spam::sim

@@ -26,6 +26,9 @@ Tb2Adapter::Tb2Adapter(sim::Engine& engine, SwitchFabric& fabric, int node,
 }
 
 SPAM_HOT void Tb2Adapter::settle_send_fifo() {
+  // FIFO occupancy is engine-ordered state (per-hop mode frees entries in
+  // events): observe it at the caller's virtual instant.
+  sim::settle_running_node();
   // Lazy replacement for the per-entry FIFO-free event: per-hop mode's
   // event at tx_dma_free_ always runs before any same-instant observation
   // (the observer's wake was scheduled later, so it has a larger seq),
@@ -34,8 +37,14 @@ SPAM_HOT void Tb2Adapter::settle_send_fifo() {
   while (!fifo_free_at_.empty() && fifo_free_at_.front() <= now) {
     fifo_free_at_.pop_front();
     --send_fifo_used_;
-    engine_.note_elided(1);  // the FIFO-free event per-hop mode schedules
   }
+}
+
+bool Tb2Adapter::has_free_entry() const {
+  const auto freed = std::upper_bound(fifo_free_at_.begin(),
+                                      fifo_free_at_.end(), engine_.now()) -
+                     fifo_free_at_.begin();
+  return send_fifo_used_ - freed < params_.send_fifo_entries;
 }
 
 SPAM_HOT sim::Time Tb2Adapter::send_free_ready_time(int needed) {
@@ -51,50 +60,22 @@ SPAM_HOT sim::Time Tb2Adapter::send_free_ready_time(int needed) {
 }
 
 SPAM_HOT void Tb2Adapter::host_enqueue(sim::NodeCtx& ctx, Packet pkt,
-                              int doorbell_npackets, sim::Time lead_charge) {
+                                        int doorbell_npackets) {
   assert(doorbell_npackets >= 0);
-  assert(host_send_space() && "send FIFO overflow: caller must check space");
+  assert(has_free_entry() && "send FIFO overflow: caller must check space");
   assert(pkt.payload_bytes <=
          static_cast<std::uint32_t>(params_.packet_data_bytes));
   pkt.src = static_cast<std::int16_t>(node_);
 
   // Host writes the entry into the memory-resident FIFO, then flushes the
-  // touched cache lines (the memory bus is not coherent).
+  // touched cache lines (the memory bus is not coherent).  Both are
+  // fiber-local: the adapter sees the entry only at the doorbell.
   const std::uint32_t entry_bytes = pkt.wire_bytes(params_);
   const int lines =
       (static_cast<int>(entry_bytes) + params_.cache_line_bytes - 1) /
       params_.cache_line_bytes;
-  const sim::Time store_cost =
-      ceil_us(entry_bytes * params_.host_write_us_per_byte +
-              lines * params_.flush_line_us);
-
-  if (engine_.fastpath() && (lead_charge > 0 || doorbell_npackets > 0)) {
-    // Merge the caller's lead charge, the FIFO store, and (when ringing
-    // immediately) the doorbell's MicroChannel access into ONE elapse of
-    // the exact summed duration.  Every externally visible effect — the
-    // FIFO push is fiber-local, the submit happens at the doorbell
-    // instant — lands at the same virtual time as with split charges, so
-    // only the intermediate wake events disappear; count those as elided.
-    sim::Time total = lead_charge + store_cost;
-    std::int64_t merged = lead_charge > 0 ? 1 : 0;
-    if (doorbell_npackets > 0) {
-      total += ceil_us(params_.mc_access_us);
-      ++merged;
-    }
-    ctx.elapse(total);
-    engine_.note_elided(merged);
-    ++send_fifo_used_;
-    // spam-lint: capacity-ok (bounded by the send-FIFO depth; the deque
-    // keeps its chunks across the steady-state fill/drain cycle)
-    awaiting_doorbell_.push_back(std::move(pkt));
-    if (doorbell_npackets > 0) {
-      host_doorbell(ctx, doorbell_npackets, /*charge=*/false);
-    }
-    return;
-  }
-
-  if (lead_charge > 0) ctx.elapse(lead_charge);
-  ctx.elapse(store_cost);
+  ctx.charge_deferred(ceil_us(entry_bytes * params_.host_write_us_per_byte +
+                              lines * params_.flush_line_us));
   ++send_fifo_used_;
   // spam-lint: capacity-ok (bounded by the send-FIFO depth; the deque
   // keeps its chunks across the steady-state fill/drain cycle)
@@ -102,13 +83,13 @@ SPAM_HOT void Tb2Adapter::host_enqueue(sim::NodeCtx& ctx, Packet pkt,
   if (doorbell_npackets > 0) host_doorbell(ctx, doorbell_npackets);
 }
 
-SPAM_HOT void Tb2Adapter::host_doorbell(sim::NodeCtx& ctx, int npackets,
-                                        bool charge) {
+SPAM_HOT void Tb2Adapter::host_doorbell(sim::NodeCtx& ctx, int npackets) {
   assert(npackets > 0 &&
          npackets <= static_cast<int>(awaiting_doorbell_.size()));
-  // One store across the MicroChannel covers several length-array slots
-  // (already folded into a merged host_enqueue elapse when !charge).
-  if (charge) ctx.elapse(ceil_us(params_.mc_access_us));
+  // One store across the MicroChannel covers several length-array slots;
+  // the adapter starts fetching at the caller's settled instant.
+  ctx.charge_deferred(ceil_us(params_.mc_access_us));
+  ctx.settle();
   ++stats_.doorbells;
   for (int i = 0; i < npackets; ++i) {
     submit_to_tx_pipeline(std::move(awaiting_doorbell_.front()));
@@ -198,14 +179,12 @@ SPAM_HOT bool Tb2Adapter::try_engage_fused(Packet& pkt, sim::Time t_link,
   static_assert(sim::InlineAction::fits_inline<decltype(fused)>,
                 "hot fused closure must not heap-allocate");
   engine_.at(rx_dma_free_, std::move(fused));
-  engine_.note_elided(2);  // the depart and hop events, proven away
   return true;
 }
 
 SPAM_HOT void Tb2Adapter::fused_arrival(std::uint64_t serial) {
   // Serials are never reused: a mismatch means this reservation was rolled
-  // back mid-flight and its packet is travelling per-hop instead (the
-  // rollback's elide ledger already paid for this no-op pop).
+  // back mid-flight and its packet is travelling per-hop instead.
   if (fused_.empty() || fused_.front().serial != serial) return;
   FusedReservation r = std::move(fused_.front());
   fused_.pop_front();
@@ -228,9 +207,7 @@ SPAM_HOT void Tb2Adapter::rollback_fused_suffix(std::size_t keep) {
     ++pending_slow_;  // from here on it is a per-hop in-flight packet
     if (r.t_link >= now) {
       // Depart instant still ahead: replay it in full, fault-hook check
-      // included.  Elide ledger: depart and hop become real again (-2) and
-      // the cancelled fused event will pop as a no-op (-1).
-      engine_.note_elided(-3);
+      // included.
       auto depart = [fab = &fabric_, p = std::move(r.pkt)]() mutable {
         fab->transmit(std::move(p));
       };
@@ -240,11 +217,10 @@ SPAM_HOT void Tb2Adapter::rollback_fused_suffix(std::size_t keep) {
     } else {
       // Already past the switch entry — per-hop would have cleared the
       // (then absent) fault hook at that instant, so the depart event
-      // stays legitimately elided; count its delivery and reschedule from
-      // the switch exit (-2: real hop + no-op fused pop).  t_hop is ahead:
-      // rollbacks are only triggered by strictly earlier switch exits.
+      // stays elided; count its delivery and reschedule from the switch
+      // exit.  t_hop is ahead: rollbacks are only triggered by strictly
+      // earlier switch exits.
       fabric_.note_fused_delivered();
-      engine_.note_elided(-2);
       auto hop = [this, p = std::move(r.pkt)]() mutable {
         deliver_from_switch(std::move(p));
       };
@@ -331,41 +307,27 @@ SPAM_HOT void Tb2Adapter::complete_rx(Packet p) {
   if (rx_notify_) rx_notify_();
 }
 
-SPAM_HOT Packet Tb2Adapter::host_rx_take(sim::NodeCtx& ctx,
-                                         sim::Time tail_charge) {
+SPAM_HOT Packet Tb2Adapter::host_rx_take(sim::NodeCtx& ctx) {
   assert(!rx_queue_.empty());
   Packet pkt = std::move(rx_queue_.front());
   rx_queue_.pop_front();
 
   // Copy the entry out of the FIFO into user buffers.
-  const sim::Time copy_cost =
-      ceil_us(pkt.wire_bytes(params_) * params_.host_copy_us_per_byte);
-
-  if (engine_.fastpath() && tail_charge > 0 &&
-      pops_owed_ + 1 < params_.lazy_pop_batch) {
-    // Non-flush take: between the copy and the caller's handling charge
-    // nothing externally visible changes (pops_owed_ is adapter-internal),
-    // so one merged elapse of the exact sum reaches the same instant with
-    // one wake fewer.  Flush takes keep the split below so rx_fifo_used_
-    // drops at its per-hop instant, where in-flight arrivals can see it.
-    ++pops_owed_;
-    ctx.elapse(copy_cost + tail_charge);
-    engine_.note_elided(1);
-    return pkt;
-  }
-
-  ctx.elapse(copy_cost);
+  ctx.charge_deferred(
+      ceil_us(pkt.wire_bytes(params_) * params_.host_copy_us_per_byte));
 
   // Lazy pop: the entry is only returned to the adapter every
   // lazy_pop_batch takes, costing one MicroChannel access.
   if (++pops_owed_ >= params_.lazy_pop_batch) host_rx_flush_pops(ctx);
-  if (tail_charge > 0) ctx.elapse(tail_charge);
   return pkt;
 }
 
 SPAM_HOT void Tb2Adapter::host_rx_flush_pops(sim::NodeCtx& ctx) {
   if (pops_owed_ == 0) return;
-  ctx.elapse(ceil_us(params_.mc_access_us));
+  ctx.charge_deferred(ceil_us(params_.mc_access_us));
+  // In-flight arrivals observe the freed entries: release them at the
+  // caller's settled instant.
+  ctx.settle();
   rx_fifo_used_ -= pops_owed_;
   assert(rx_fifo_used_ >= 0);
   pops_owed_ = 0;

@@ -34,8 +34,13 @@
 //   * the sender's FIFO-free event is settled lazily against now() in the
 //     host_send_space()/host_send_free() queries (the only observers).
 //
-// Every transformation is counted through Engine::note_elided so
-// events_simulated() stays the per-hop-equivalent work measure.
+// --- Host costs and the local clock ----------------------------------------
+// The host-side FIFO store, cache flush, doorbell access and copy-out are
+// fiber-local CPU time, charged as NodeCtx debt (charge_deferred()).  Every
+// host call that touches engine-visible state settles the calling node
+// first (the queries below, the doorbell's submit, the lazy pop's FIFO
+// release), so a run of charges materializes as one engine sleep at exactly
+// the instant the per-call path reaches.
 #pragma once
 
 #include <cstddef>
@@ -66,8 +71,8 @@ class Tb2Adapter {
 
   // --- Host send side (call from the node fiber) --------------------------
 
-  /// True if the send FIFO has a free entry.  Settles lazily tracked
-  /// FIFO-free instants against the clock first (fast-path bookkeeping).
+  /// True if the send FIFO has a free entry.  Settles the calling node and
+  /// then the lazily tracked FIFO-free instants against the clock first.
   bool host_send_space() {
     settle_send_fifo();
     return send_fifo_used_ < params_.send_fifo_entries;
@@ -91,27 +96,25 @@ class Tb2Adapter {
   /// this packet and the doorbell_npackets-1 enqueued before it (batched
   /// senders pass the batch size on the batch-completing enqueue, 0
   /// otherwise; plain senders pass 1).  Requires free space.
-  ///
-  /// `lead_charge` is a caller-side CPU cost (e.g. the AM layer's per-packet
-  /// bookkeeping) to charge immediately before the store.  Under the fast
-  /// path it is folded into one merged elapse together with the store and
-  /// (for an immediate doorbell) the MicroChannel access: nothing externally
-  /// visible happens at the intermediate instants, so the merged wake is
-  /// provably equivalent and the saved wakes are counted as elided.
-  void host_enqueue(sim::NodeCtx& ctx, Packet pkt, int doorbell_npackets = 1,
-                    sim::Time lead_charge = 0);
+  void host_enqueue(sim::NodeCtx& ctx, Packet pkt, int doorbell_npackets = 1);
 
   /// Stores the lengths of the `npackets` most recently enqueued (and not
-  /// yet doorbelled) packets with a single MicroChannel access.  `charge`
-  /// is false only when host_enqueue already folded the MicroChannel cost
-  /// into its merged elapse.
-  void host_doorbell(sim::NodeCtx& ctx, int npackets, bool charge = true);
+  /// yet doorbelled) packets with a single MicroChannel access, then hands
+  /// them to the adapter at the caller's settled instant.
+  void host_doorbell(sim::NodeCtx& ctx, int npackets);
 
   // --- Host receive side ---------------------------------------------------
 
-  /// Number of packets sitting in the host-visible receive FIFO.
-  int host_rx_pending() const { return static_cast<int>(rx_queue_.size()); }
-  bool host_rx_ready() const { return !rx_queue_.empty(); }
+  /// Number of packets sitting in the host-visible receive FIFO.  Both
+  /// queries settle the calling node first.
+  int host_rx_pending() {
+    sim::settle_running_node();
+    return static_cast<int>(rx_queue_.size());
+  }
+  bool host_rx_ready() {
+    sim::settle_running_node();
+    return !rx_queue_.empty();
+  }
 
   /// Fast-path polling hint: a lower bound on the instant at which
   /// host_rx_ready() *can* become true, or 0 when it already is / no bound
@@ -124,16 +127,10 @@ class Tb2Adapter {
   /// Copies the front packet out of the receive FIFO (charges the copy) and
   /// performs the lazy-pop bookkeeping (one MicroChannel access per
   /// lazy_pop_batch takes, which is when FIFO entries actually free up).
-  ///
-  /// `tail_charge` is a caller-side CPU cost (e.g. per-message handling)
-  /// charged immediately after the take.  On non-flush takes under the fast
-  /// path it merges with the copy into one elapse (no externally visible
-  /// state changes at the intermediate instant); flush takes keep the split
-  /// so the FIFO entries free at their exact per-hop instant, where
-  /// in-flight arrivals can observe them.
-  Packet host_rx_take(sim::NodeCtx& ctx, sim::Time tail_charge = 0);
+  Packet host_rx_take(sim::NodeCtx& ctx);
 
-  /// Forces the lazy pop to flush now (frees all consumed entries).
+  /// Forces the lazy pop to flush now (frees all consumed entries at the
+  /// caller's settled instant, where in-flight arrivals can observe them).
   void host_rx_flush_pops(sim::NodeCtx& ctx);
 
   // --- Fabric side (engine events only) ------------------------------------
@@ -188,6 +185,9 @@ class Tb2Adapter {
  private:
   void submit_to_tx_pipeline(Packet pkt);
   void settle_send_fifo();
+  /// Side-effect-free space check for assertions: counts entries whose
+  /// lazy free instant the engine clock has reached, settles nothing.
+  bool has_free_entry() const;
   /// The shared arrive body: FIFO-full check, enqueue, notify.  Runs at the
   /// packet's arrival instant on both the per-hop and the fused path.
   void complete_rx(Packet pkt);

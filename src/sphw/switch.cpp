@@ -5,6 +5,7 @@
 
 #include "sim/hot.hpp"
 #include "sim/trace.hpp"
+#include "sim/world.hpp"
 #include "sphw/adapter.hpp"
 
 namespace spam::sphw {
@@ -20,6 +21,8 @@ void SwitchFabric::attach(int node, Tb2Adapter* adapter) {
 }
 
 void SwitchFabric::set_drop_fn(DropFn fn) {
+  // Arming reads the engine clock: observe it at the caller's instant.
+  sim::settle_running_node();
   if (fn) {
     // Every engaged fused reservation assumed "no fault hook" at its
     // (elided) depart event.  Reservations whose depart instant is still

@@ -13,9 +13,8 @@
 // The suite ends with a seeded fuzz over the raw World layer that mixes
 // fine-grain charges with suspends, racing resumers (fired between a
 // node's make_resumer() and its suspend()), mid-debt wakes, cross-node
-// clock observations and trace emission, and checks the observation log,
-// the trace stream, and the events_simulated() ledger all match the
-// per-charge reference byte for byte.
+// clock observations and trace emission, and checks the observation log
+// and the trace stream match the per-charge reference byte for byte.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -309,7 +308,6 @@ struct ClockFuzzOutcome {
   // stream, whose emission settles first.
   std::array<std::vector<std::pair<int, sim::Time>>, kFuzzNodes> samples;
   std::string trace;
-  std::uint64_t events_simulated = 0;
 };
 
 ClockFuzzOutcome run_clock_fuzz(bool local_clock, std::uint64_t seed) {
@@ -408,7 +406,6 @@ ClockFuzzOutcome run_clock_fuzz(bool local_clock, std::uint64_t seed) {
   w.run();
   sim::Trace::capture_to(nullptr);
   sim::Trace::disable_all();
-  out.events_simulated = w.engine().events_simulated();
   return out;
 }
 
@@ -424,9 +421,6 @@ TEST(LocalClockEquivalence, ClockFuzzMatchesPerChargeReference) {
       total += slow.samples[static_cast<std::size_t>(n)].size();
     }
     EXPECT_EQ(slow.trace, fast.trace) << "seed " << seed;
-    // The elide ledger must balance exactly: deferred mode simulates the
-    // same per-charge-equivalent event count the reference executes.
-    EXPECT_EQ(slow.events_simulated, fast.events_simulated) << "seed " << seed;
     EXPECT_GT(total, 400u) << "seed " << seed;
     EXPECT_FALSE(slow.trace.empty()) << "seed " << seed;
   }

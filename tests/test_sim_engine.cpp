@@ -145,20 +145,6 @@ TEST(Engine, SameTimeFifoAcrossCalendarAndHeap) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(Engine, ElideLedgerFoldsIntoSimulatedCount) {
-  Engine e;
-  e.at(10, [] {});
-  e.at(20, [] {});
-  e.run();
-  EXPECT_EQ(e.events_executed(), 2u);
-  EXPECT_EQ(e.events_simulated(), 2u);
-  e.note_elided(5);
-  EXPECT_EQ(e.events_executed(), 2u);
-  EXPECT_EQ(e.events_simulated(), 7u);
-  e.note_elided(-2);  // rollbacks may return elided events to the real queue
-  EXPECT_EQ(e.events_simulated(), 5u);
-}
-
 TEST(Engine, TrySkipElapseRespectsQueuedEvents) {
   Engine e;
   e.set_fastpath(true);
@@ -169,12 +155,9 @@ TEST(Engine, TrySkipElapseRespectsQueuedEvents) {
     // must be denied because the queued event has the smaller seq.
     EXPECT_FALSE(e.try_skip_elapse(150));
     EXPECT_FALSE(e.try_skip_elapse(100));
-    // Strictly before the queued event: allowed, advances the clock and
-    // counts the avoided wake as elided.
-    const std::uint64_t elided = e.events_elided();
+    // Strictly before the queued event: allowed, advances the clock.
     EXPECT_TRUE(e.try_skip_elapse(99));
     EXPECT_EQ(e.now(), 99u);
-    EXPECT_EQ(e.events_elided(), elided + 1);
   });
   e.run();
   EXPECT_TRUE(ran);

@@ -197,26 +197,6 @@ TEST(LocalClock, PollUntilSettlesThenPolls) {
   EXPECT_EQ(woke, 5u + 3u * 7u);
 }
 
-TEST(LocalClock, EventLedgerMatchesPerChargeMode) {
-  auto run = [](bool local_clock) {
-    World w(2);
-    w.engine().set_localclock(local_clock);
-    for (int r = 0; r < 2; ++r) {
-      w.spawn(r, [](NodeCtx& ctx) {
-        for (int i = 0; i < 20; ++i) {
-          ctx.charge(3);
-          ctx.charge(4);
-          if (i % 3 == 0) ctx.elapse(10);
-          if (i % 7 == 0) ctx.settle();
-        }
-      });
-    }
-    w.run();
-    return w.engine().events_simulated();
-  };
-  EXPECT_EQ(run(false), run(true));
-}
-
 TEST(World, DeterministicAcrossRuns) {
   auto run_once = [] {
     World w(4, /*seed=*/99);

@@ -2,6 +2,7 @@
 // geometry, overflow drops, doorbell batching, lazy pops.
 #include <gtest/gtest.h>
 
+#include <tuple>
 #include <vector>
 
 #include "sphw/machine.hpp"
@@ -402,6 +403,39 @@ TEST(Fastpath, RxReadyTimeIsAnExactLowerBound) {
   });
   w.run();
   EXPECT_TRUE(checked);
+}
+
+// A compute charge() covers the instant a packet lands at node 1 and the
+// instant node 0's only send-FIFO entry frees.  The host-side queries must
+// settle the caller's charge debt before they read adapter state, so both
+// changes are visible right after the charge — exactly as after the
+// equivalent elapse() of the per-call reference.
+TEST(Adapter, QueriesSeeChangesInsideAChargedInterval) {
+  auto run = [](bool local_clock) {
+    SpParams params = SpParams::thin_node();
+    params.send_fifo_entries = 1;
+    params.local_clock = local_clock;
+    sim::World w(2);
+    SpMachine m(w, params);
+    int free_before = -1;
+    int free_after = -1;
+    bool rx_ready = false;
+    w.spawn(0, [&](sim::NodeCtx& ctx) {
+      m.adapter(0).host_enqueue(ctx, mk(1, 224));
+      free_before = m.adapter(0).host_send_free();  // DMA not done yet
+      ctx.charge(sim::usec(100));
+      free_after = m.adapter(0).host_send_free();
+    });
+    w.spawn(1, [&](sim::NodeCtx& ctx) {
+      ctx.charge(sim::usec(100));
+      rx_ready = m.adapter(1).host_rx_ready();
+    });
+    w.run();
+    return std::make_tuple(free_before, free_after, rx_ready);
+  };
+  const auto per_call = run(/*local_clock=*/false);
+  EXPECT_EQ(per_call, std::make_tuple(0, 1, true));
+  EXPECT_EQ(run(/*local_clock=*/true), per_call);
 }
 
 TEST(Fastpath, SendFreeReadyTimeSettlesExactly) {

@@ -310,9 +310,9 @@ void charge_loops_scan(RuleContext& ctx, std::size_t begin, std::size_t end) {
   const std::size_t limit = std::min(end, toks.size());
 
   static const std::unordered_set<std::string> charge_calls = {
-      "charge",         "charge_us",        "charge_flops",
-      "charge_int_ops", "charge_mem_bytes", "elapse",
-      "elapse_us",
+      "charge",         "charge_us",        "charge_deferred",
+      "charge_flops",   "charge_int_ops",   "charge_mem_bytes",
+      "elapse",         "elapse_us",
   };
 
   // Pass 1: mark every token that sits inside some loop body.  Loop bodies

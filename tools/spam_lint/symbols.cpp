@@ -45,7 +45,6 @@ struct Scope {
 // is still open: the next lambda inside it becomes a handler root.
 struct PendingReg {
   bool active = false;
-  bool bulk = false;
   bool lambda_only = false;  // emplace flavor: only a literal lambda roots
   bool got_lambda = false;
   bool parens_closed = false;
@@ -255,16 +254,12 @@ Scope Extractor::classify_brace(std::size_t k) {
       sym.qual += pending_.target.empty() ? "<lambda>" : pending_.target;
       sym.file = rel_;
       sym.line = tok(k).line;
-      sym.is_handler = true;
-      sym.handler_bulk = pending_.bulk;
-      sym.handler_name = pending_.target;
-      sym.handler_line = pending_.line;
       out_.push_back(sym);
       return Scope{Scope::kFunction, static_cast<int>(out_.size() - 1), ""};
     }
     // Named local lambda (`auto name = [..](..) {`): becomes its own
-    // definition so later calls to `name` resolve instead of tainting the
-    // caller as unresolved.  Parameters are not parsed — wildcard arity.
+    // definition so later calls to `name` resolve to it.  Parameters are
+    // not parsed — wildcard arity.
     const std::size_t lb = lambda_intro(k);
     if (lb != n() && lb >= 2 && tok(lb - 1).text == "=" &&
         tok(lb - 2).kind == TokKind::kIdent) {
@@ -415,7 +410,7 @@ Scope Extractor::classify_brace(std::size_t k) {
 
 void Extractor::handle_registration(std::size_t k) {
   const std::string& t = tok(k).text;
-  bool bulk = false, lambda_only = false, match = false;
+  bool lambda_only = false, match = false;
   if (t == "register_handler" || t == "register_bulk_handler") {
     // Only member-spelled calls (`ep.register_handler(...)`) are
     // registration sites; the Endpoint's own definitions/declarations of
@@ -426,19 +421,16 @@ void Extractor::handle_registration(std::size_t k) {
          (tok(k - 1).text == ">" && k >= 2 && tok(k - 2).text == "-"));
     if (!member) return;
     match = true;
-    bulk = t == "register_bulk_handler";
   } else if (t == "emplace_back" && k >= 2 && tok(k - 1).text == "." &&
              (tok(k - 2).text == "msg_handlers_" ||
               tok(k - 2).text == "bulk_handlers_")) {
     match = true;
     lambda_only = true;
-    bulk = tok(k - 2).text == "bulk_handlers_";
   }
   if (!match) return;
 
   pending_ = PendingReg{};
   pending_.active = true;
-  pending_.bulk = bulk;
   pending_.lambda_only = lambda_only;
   pending_.open_depth = paren_depth_;
   pending_.line = tok(k).line;
@@ -488,11 +480,6 @@ std::vector<FunctionSym> Extractor::run() {
                                              : pending_.target;
           sym.file = rel_;
           sym.line = pending_.line;
-          sym.is_handler = true;
-          sym.handler_bulk = pending_.bulk;
-          sym.handler_name = pending_.target.empty() ? pending_.last_arg_ident
-                                                     : pending_.target;
-          sym.handler_line = pending_.line;
           CallSite target;
           target.name = pending_.last_arg_ident;
           target.line = pending_.line;
@@ -559,43 +546,6 @@ std::vector<FunctionSym> Extractor::run() {
     }
     site.argc = count_args(k + 1).count;
     out_[static_cast<std::size_t>(fn)].calls.push_back(site);
-  }
-
-  // Indirect invocations: `expr[...](...)` and `expr(...)(...)` — the
-  // callee is unknowable at this level, which the graph turns into
-  // "reaches unresolved code".
-  for (FunctionSym& sym : out_) {
-    if (sym.body_begin == 0 && sym.body_end == 0) continue;
-    for (std::size_t i = sym.body_begin + 1;
-         i + 1 < sym.body_end && i + 1 < file_.tokens.size(); ++i) {
-      const Token& t = file_.tokens[i];
-      if (t.in_directive || t.text != "(") continue;
-      const Token& p = file_.tokens[i - 1];
-      if (p.in_directive) continue;
-      if (p.text == "]" || p.text == ")") {
-        // `)` form: skip casts/parenthesized callees conservatively only
-        // when this is clearly a call chain — `for (...) (void)x;` has no
-        // such shape; `handlers_[h](...)` and `fn.get()(...)` do.  A
-        // `](` pair that opens a lambda's parameter list is not a call.
-        bool lambda_params = false;
-        if (p.text == "]") {
-          int depth = 0;
-          for (std::size_t m = i; m-- > 0;) {
-            if (file_.tokens[m].text == "]") ++depth;
-            if (file_.tokens[m].text == "[" && --depth == 0) {
-              lambda_params =
-                  m == 0 || (file_.tokens[m - 1].kind != TokKind::kIdent &&
-                             file_.tokens[m - 1].text != "]" &&
-                             file_.tokens[m - 1].text != ")");
-              break;
-            }
-          }
-        }
-        if (!lambda_params) {
-          sym.calls.push_back(CallSite{"", t.line, false, true});
-        }
-      }
-    }
   }
 
   return out_;

@@ -12,16 +12,15 @@
 // since the last statement boundary.  That classification is deliberately
 // lexical: no templates are instantiated, no overloads resolved, no
 // types known.  docs/static-analysis.md spells out what this can and
-// cannot see; the call graph turns "cannot see" into UNKNOWN rather than
-// silently guessing.
+// cannot see.
 //
 // Lambdas normally contribute their calls to the enclosing function (a
 // lambda defined and invoked on a hot path runs on the hot path).  The
 // exception is a lambda passed to `register_handler` /
 // `register_bulk_handler` (or installed into the reserved
 // `msg_handlers_`/`bulk_handlers_` slots): that lambda becomes its own
-// symbol, rooted in the graph as an AM handler, because it runs on the
-// *delivering* context, not the registering one.
+// symbol, a graph root, because it runs on the *delivering* context, not
+// the registering one.
 #pragma once
 
 #include <cstddef>
@@ -37,7 +36,6 @@ struct CallSite {
   std::string name;      // callee identifier (last component: `x.f()` -> "f")
   int line = 0;          // 1-based
   bool member = false;    // spelled as a member/qualified access
-  bool indirect = false;  // `fn()`, `handlers_[h](...)`: target unknowable
   bool std_qual = false;  // spelled `std::name(...)`: never an in-repo def
   int argc = 0;           // top-level argument count (-1: unknown, match any)
 };
@@ -58,12 +56,6 @@ struct FunctionSym {
   // synthesized handler whose list was not parsed).
   int param_min = 0;
   int param_max = -1;
-
-  // AM handler registration root.
-  bool is_handler = false;
-  bool handler_bulk = false;     // register_bulk_handler / bulk_handlers_
-  std::string handler_name;      // LHS of `h_x_ = register_handler(...)`
-  int handler_line = 0;          // line of the registration call
 
   std::size_t body_begin = 0;  // token index of the body '{'
   std::size_t body_end = 0;    // token index of the matching '}'
