@@ -162,10 +162,6 @@ report::Table fig3_table(const std::vector<std::size_t>& sizes) {
   return tab;
 }
 
-double secs_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
 AllocCounters AllocCounters::sample(const sim::Engine& engine) {
   const auto pool = engine.pool_stats();
   return {pool.nodes_allocated, pool.action_heap_fallbacks,
@@ -176,19 +172,6 @@ AllocCounters AllocCounters::operator-(const AllocCounters& before) const {
   return {event_nodes - before.event_nodes,
           heap_actions - before.heap_actions,
           payload_buffers - before.payload_buffers};
-}
-
-int write_report(const std::string& json, const char* default_path) {
-  const std::string path = options().out.empty() ? default_path : options().out;
-  std::fputs(json.c_str(), stdout);
-  std::FILE* fp = std::fopen(path.c_str(), "w");
-  if (fp == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return 1;
-  }
-  std::fputs(json.c_str(), fp);
-  std::fclose(fp);
-  return 0;
 }
 
 }  // namespace spam::bench

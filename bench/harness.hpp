@@ -21,7 +21,6 @@
 // aggregation order.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -62,8 +61,8 @@ void emit(const report::PaperComparison& c);
 int harness_finish();
 
 // --- Figure 3 shared sweep --------------------------------------------------
-// Used by bench_fig3_bandwidth, tools/spamsim, bench_sweep_perf, and the
-// serial-vs-parallel determinism test, so all four agree on the bytes.
+// Used by bench_fig3_bandwidth, tools/spamsim, and the serial-vs-parallel
+// determinism test (SweepDeterminism.*), so all three agree on the bytes.
 
 /// One closure per (curve, size) point; running them fills the ResultCache.
 std::vector<std::function<void()>> fig3_points(
@@ -72,18 +71,12 @@ std::vector<std::function<void()>> fig3_points(
 /// The rendered Figure 3 table for `sizes` (reads cached points when warm).
 report::Table fig3_table(const std::vector<std::size_t>& sizes);
 
-// --- Host-time measurement ------------------------------------------------
-// Shared by the host-perf benches (bench_host_perf, bench_app_perf,
-// bench_sweep_perf), which report host time rather than virtual time.
-
-using Clock = std::chrono::steady_clock;
-
-/// Host seconds elapsed since `t0`.
-double secs_since(Clock::time_point t0);
+// --- Steady-state allocation -----------------------------------------------
 
 /// Snapshot of every allocation counter the simulator hot path can touch.
-/// The difference of two snapshots around a measured steady-state phase
-/// must be zero: that is the zero-allocation property the benches assert.
+/// The difference of two snapshots around a warm steady-state phase must be
+/// zero: that is the zero-allocation property tests/test_steady_state.cpp
+/// and the warm-world LocalClockEquivalence cases assert.
 struct AllocCounters {
   std::uint64_t event_nodes = 0;      // Engine pool growth
   std::uint64_t heap_actions = 0;     // InlineAction heap fallbacks
@@ -95,10 +88,5 @@ struct AllocCounters {
     return event_nodes + heap_actions + payload_buffers;
   }
 };
-
-/// Prints a host-perf JSON report to stdout and writes it to options().out
-/// (or `default_path` when --out was absent).  Returns the exit code: 0, or
-/// 1 when the file cannot be written.
-int write_report(const std::string& json, const char* default_path);
 
 }  // namespace spam::bench

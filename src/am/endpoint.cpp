@@ -125,27 +125,12 @@ bool Endpoint::have_unacked_retrans() const {
   return false;
 }
 
-void Endpoint::wait_for_fifo_space(int needed) {
+void Endpoint::wait_for_fifo_space() {
   // The adapter drains the send FIFO autonomously (DMA), so plain waiting
   // is enough and safe to use even while nested inside poll().
-  //
-  // Fast path: FIFO-free instants are fixed at submit time, so every poll
-  // sample strictly before the adapter's ready hint must read false — fuse
-  // those definitely-false quanta into one elapse of identical total
-  // virtual time (k quanta).
-  const sim::Time quantum = sim::usec(0.5);
-  for (;;) {
-    if (adapter_.host_send_free() >= needed) return;
-    const sim::Time ready = adapter_.send_free_ready_time(needed);
-    const sim::Time now = ctx_.now();
-    if (ready > now + quantum) {
-      const sim::Time k = (ready - now - 1) / quantum;
-      // spam-lint: charge-ok — k polls elided into one batched sleep
-      ctx_.elapse(k * quantum);
-    }
-    // spam-lint: charge-ok — one quantum per residual probe; the batch
-    // above already collapsed the predictable part of the wait
-    ctx_.elapse(quantum);
+  while (!adapter_.host_send_space()) {
+    // spam-lint: charge-ok — one poll quantum per probe of the FIFO
+    ctx_.elapse(sim::usec(0.5));
   }
 }
 
@@ -169,7 +154,7 @@ SPAM_HOT void Endpoint::enqueue_sequenced_packet(sphw::Packet pkt, TxChan& tx,
   // charge can ride the enqueue's settle instead of forcing its own.
   const bool have_space = adapter_.host_send_free() >= 1;
   ctx_.charge_deferred(sim::usec(params_.bookkeeping_us));
-  if (!have_space) wait_for_fifo_space(1);
+  if (!have_space) wait_for_fifo_space();
   adapter_.host_enqueue(ctx_, std::move(pkt), doorbell_npackets);
 }
 
@@ -236,7 +221,7 @@ void Endpoint::send_control(int dst, std::uint8_t channel,
   pkt.h[1] = peer(dst).rx[channel].expect_seq;  // NACK: resume point
   pkt.payload_bytes = 0;
   stamp_acks(dst, pkt);
-  wait_for_fifo_space(1);
+  wait_for_fifo_space();
   adapter_.host_enqueue(ctx_, std::move(pkt), /*doorbell_npackets=*/1);
 }
 
@@ -489,7 +474,7 @@ void Endpoint::retransmit_from(int dst, std::uint8_t channel,
       // spam-lint: charge-ok — per-packet bookkeeping IS the retransmit
       // cost model, and this is the rare recovery path
       ctx_.elapse(sim::usec(params_.bookkeeping_us));
-      wait_for_fifo_space(1);
+      wait_for_fifo_space();
       adapter_.host_enqueue(ctx_, std::move(copy), /*ring_doorbell=*/false);
       ++in_batch;
     }

@@ -243,7 +243,7 @@ class Endpoint {
   void send_control(int dst, std::uint8_t channel, std::uint64_t subtype);
   void stamp_acks(int dst, sphw::Packet& pkt);
   void wait_for_window(int dst, std::uint8_t channel, int packets_needed);
-  void wait_for_fifo_space(int needed);
+  void wait_for_fifo_space();
 
   // Fast path: when the adapter can bound the next packet's arrival and
   // bulk progress is provably frozen, advances the clock across the poll

@@ -124,7 +124,8 @@ class ResultCache {
 
   bool lookup(std::uint64_t key, double* out) const SPAM_EXCLUDES(mu_);
 
-  /// Forgets everything (bench_sweep_perf uses this to time cold sweeps).
+  /// Forgets everything (perfbench's paper_sweep uses this to time cold
+  /// sweeps).
   void clear() SPAM_EXCLUDES(mu_);
 
   struct Stats {

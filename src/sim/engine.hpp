@@ -78,15 +78,15 @@ class Engine {
 
   /// Enables/disables every proven-equivalent shortcut that hangs off the
   /// engine (elapse skip-ahead here; the network fast path reads the same
-  /// flag through sphw::SpParams).  On by default; benches flip it off for
-  /// the dual-mode comparison.
+  /// flag through sphw::SpParams).  On by default; the fast-path
+  /// equivalence suite flips it off for the dual-mode comparison.
   void set_fastpath(bool on) { fastpath_ = on; }
   bool fastpath() const { return fastpath_; }
 
   /// Enables/disables the node-local virtual clocks (deferred compute
   /// charging, src/sim/world.cpp).  Independent of the network fast path
-  /// so the two shortcuts can be compared in isolation; benches flip it
-  /// off via --no-localclock for the dual-mode comparison.
+  /// so the two shortcuts can be compared in isolation; the local-clock
+  /// equivalence suite flips it off for the dual-mode comparison.
   void set_localclock(bool on) { localclock_ = on; }
   bool localclock() const { return localclock_; }
 
@@ -101,8 +101,8 @@ class Engine {
 
   /// Allocation counters for the event core.  In steady state (after
   /// warmup) scheduling events must not change `nodes_allocated` or
-  /// `action_heap_fallbacks`: that is the zero-allocation invariant the
-  /// host-perf bench asserts.
+  /// `action_heap_fallbacks`: that is the zero-allocation invariant
+  /// SteadyState.* asserts.
   struct PoolStats {
     std::uint64_t nodes_allocated = 0;      // pool growth, total nodes ever
     std::uint64_t nodes_free = 0;           // currently on the free list

@@ -78,7 +78,7 @@ class NodeCtx {
   /// Per-call elapses would draw the final wake's tie-break seq at the last
   /// charge instead of the first, which can reorder same-instant events of
   /// other nodes; keeping these costs merged in both modes leaves
-  /// --no-localclock a per-call reference for application compute only.
+  /// local_clock = false a per-call reference for application compute only.
   void charge_deferred(Time d);
 
   /// Materializes any outstanding charge debt as a single engine sleep.

@@ -8,7 +8,9 @@
 // optimization with a bit-exactness contract, never an approximation.
 // Doubles are compared with EXPECT_EQ (exact bits, not a tolerance) and
 // the Figure 3 sweep is additionally rendered to a report::Table whose
-// output must be byte-identical across modes.
+// output must be byte-identical across modes.  The Table 5/6 apps are also
+// run warm — three repetitions in one world — and the third must match
+// across modes and allocate nothing.
 //
 // The suite ends with a seeded fuzz over the raw World layer that mixes
 // fine-grain charges with suspends, racing resumers (fired between a
@@ -18,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -27,6 +30,7 @@
 
 #include "apps/nas.hpp"
 #include "apps/splitc_apps.hpp"
+#include "harness.hpp"
 #include "micro.hpp"
 #include "report/report.hpp"
 #include "sim/trace.hpp"
@@ -271,6 +275,108 @@ TEST(LocalClockEquivalence, Table6NasKernels) {
     EXPECT_TRUE(fast.finished) << k.name;
     EXPECT_EQ(slow.checksum, fast.checksum) << k.name;
     EXPECT_EQ(slow.time_s, fast.time_s) << k.name;
+  }
+}
+
+// --- Warm worlds: the third repetition of Table 5 and Table 6 ---------------
+//
+// The cases above build a fresh world per mode.  These run each app three
+// times in one world, so the third repetition starts from warm pools and
+// fibers and a nonzero clock.  With the local clock off and then on, that
+// repetition must give bit-identical virtual time and checksum, and must
+// grow no pool (AllocCounters delta 0) in either mode.  Two warm-ups, not
+// one: the second rep's event pattern differs slightly from the first
+// (virtual time no longer starts at zero), so one warm-up can leave the
+// event pool a node short of its steady state.
+
+struct WarmRep {
+  double virt_s = 0;
+  std::uint64_t checksum = 0;  // NAS: the double checksum's bits
+  bool valid = false;
+  std::uint64_t new_allocs = 0;
+};
+
+WarmRep from_phases(const apps::PhaseTimes& pt) {
+  return {pt.total_s, pt.checksum, pt.valid};
+}
+
+WarmRep from_nas(const apps::NasResult& nr) {
+  return {nr.time_s, std::bit_cast<std::uint64_t>(nr.checksum), nr.finished};
+}
+
+/// Runs `rep` three times in the world driven by `engine`; returns the
+/// third repetition with the allocation growth across it.
+template <typename Rep>
+WarmRep third_rep(const sim::Engine& engine, Rep&& rep) {
+  rep();
+  rep();
+  const bench::AllocCounters a0 = bench::AllocCounters::sample(engine);
+  WarmRep r = rep();
+  r.new_allocs = (bench::AllocCounters::sample(engine) - a0).total();
+  return r;
+}
+
+void expect_warm_equal(const WarmRep& slow, const WarmRep& fast,
+                       const char* what) {
+  EXPECT_TRUE(slow.valid) << what;
+  EXPECT_TRUE(fast.valid) << what;
+  EXPECT_EQ(slow.virt_s, fast.virt_s) << what;
+  EXPECT_EQ(slow.checksum, fast.checksum) << what;
+  EXPECT_EQ(slow.new_allocs, 0u) << what << " (local clock off)";
+  EXPECT_EQ(fast.new_allocs, 0u) << what << " (local clock on)";
+}
+
+TEST(LocalClockEquivalence, WarmTable5SplitCThirdRep) {
+  using apps::SortVariant;
+  constexpr std::size_t kKeys = 8 * 1024;
+  struct App {
+    const char* name;
+    std::function<WarmRep(splitc::SplitCWorld&)> run;
+  };
+  const App suite[] = {
+      {"mm", [](splitc::SplitCWorld& w) {
+         return from_phases(apps::run_matmul(w, /*nb=*/4, /*bd=*/32));
+       }},
+      {"smpsort_small", [](splitc::SplitCWorld& w) {
+         return from_phases(
+             apps::run_sample_sort(w, kKeys, SortVariant::kSmallMessage));
+       }},
+      {"smpsort_bulk", [](splitc::SplitCWorld& w) {
+         return from_phases(
+             apps::run_sample_sort(w, kKeys, SortVariant::kBulk));
+       }},
+      {"rdxsort_small", [](splitc::SplitCWorld& w) {
+         return from_phases(
+             apps::run_radix_sort(w, kKeys, SortVariant::kSmallMessage));
+       }},
+      {"rdxsort_bulk", [](splitc::SplitCWorld& w) {
+         return from_phases(
+             apps::run_radix_sort(w, kKeys, SortVariant::kBulk));
+       }},
+  };
+  for (const App& app : suite) {
+    auto run = [&](bool local_clock) {
+      splitc::SplitCWorld w(splitc_cfg(local_clock));
+      return third_rep(w.world().engine(), [&] { return app.run(w); });
+    };
+    expect_warm_equal(run(false), run(true), app.name);
+  }
+}
+
+TEST(LocalClockEquivalence, WarmTable6NasThirdRep) {
+  using Runner = apps::NasResult (*)(mpi::MpiWorld&, int, int);
+  const std::tuple<const char*, Runner, int> kernels[] = {
+      {"FT", apps::run_ft, 16}, {"MG", apps::run_mg, 16},
+      {"LU", apps::run_lu, 64}, {"BT", apps::run_bt, 16},
+      {"SP", apps::run_sp, 16},
+  };
+  for (const auto& [name, kernel, n] : kernels) {
+    auto run = [&](bool local_clock) {
+      mpi::MpiWorld w(mpi_cfg(mpi::MpiImpl::kAmOptimized, local_clock));
+      return third_rep(w.world().engine(),
+                       [&] { return from_nas(kernel(w, n, /*iters=*/1)); });
+    };
+    expect_warm_equal(run(false), run(true), name);
   }
 }
 

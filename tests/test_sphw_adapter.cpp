@@ -438,36 +438,41 @@ TEST(Adapter, QueriesSeeChangesInsideAChargedInterval) {
   EXPECT_EQ(run(/*local_clock=*/true), per_call);
 }
 
+// The send FIFO frees lazily (fast path: no per-entry event), yet each
+// entry must free at exactly the instant the tx DMA finishes fetching it:
+// not one tick early, not one tick late.  Those instants follow from
+// SpParams alone: the fetches start at the doorbell and run back to back.
 TEST(Fastpath, SendFreeReadyTimeSettlesExactly) {
   SpParams params = SpParams::thin_node();
   params.send_fifo_entries = 4;
   sim::World w(2);
   SpMachine m(w, params);
+  const sim::Time per_entry =
+      sim::usec(params.dma_setup_us) +
+      sim::transfer_time(mk(1, 224).wire_bytes(params), params.mc_dma_mbps);
 
   w.spawn(0, [&](sim::NodeCtx& ctx) {
     Tb2Adapter& ad = m.adapter(0);
     // Deferred doorbells: nothing is submitted, so the FIFO genuinely
-    // fills and no free instants are scheduled yet.
+    // fills and no entry frees however long the host waits.
     for (std::uint32_t i = 0; i < 4; ++i) {
       ad.host_enqueue(ctx, mk(1, 224, i), /*doorbell_npackets=*/0);
     }
     EXPECT_FALSE(ad.host_send_space());
-    // Entries awaiting their doorbell have no scheduled free instant: the
-    // hint must decline rather than guess.
-    EXPECT_EQ(ad.send_free_ready_time(1), 0u);
-    // Ringing submits all four to the tx DMA; now every entry has an exact
-    // future free instant and the hint must be tick-exact.
+    ctx.elapse(sim::usec(100));
+    EXPECT_FALSE(ad.host_send_space());
+    // Ringing submits all four to the tx DMA at the settled instant.
     ad.host_doorbell(ctx, 4);
-    const sim::Time ready = ad.send_free_ready_time(1);
-    ASSERT_NE(ready, 0u);
-    EXPECT_GT(ready, ctx.now());
-    const sim::Time all_ready = ad.send_free_ready_time(4);
-    EXPECT_GE(all_ready, ready);
-    ctx.elapse(ready - ctx.now() - 1);
+    const sim::Time first_free = ctx.now() + per_entry;
+    const sim::Time all_free = ctx.now() + 4 * per_entry;
+    ctx.elapse(first_free - ctx.now() - 1);
     EXPECT_FALSE(ad.host_send_space());
     ctx.elapse(1);
     EXPECT_TRUE(ad.host_send_space());
-    ctx.elapse(all_ready - ctx.now());
+    EXPECT_EQ(ad.host_send_free(), 1);
+    ctx.elapse(all_free - ctx.now() - 1);
+    EXPECT_EQ(ad.host_send_free(), 3);
+    ctx.elapse(1);
     EXPECT_EQ(ad.host_send_free(), 4);
   });
   w.spawn(1, [&](sim::NodeCtx& ctx) {
