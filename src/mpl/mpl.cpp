@@ -42,19 +42,25 @@ int MplEndpoint::mpc_send(const void* buf, std::size_t len, int dst,
 }
 
 int MplEndpoint::mpc_recv(void* buf, std::size_t maxlen, int src, int tag) {
-  const int handle = next_handle_++;
-  // spam-lint: allow(hot-alloc) — one allocation per *posted receive*
-  // (control path), not per packet; shared with the completion record
-  auto op = std::make_shared<RecvOp>();
-  op->handle = handle;
-  op->src = src;
-  op->tag = tag;
-  op->buf = static_cast<std::byte*>(buf);
-  op->maxlen = maxlen;
-  // spam-lint: capacity-ok — bounded by receives outstanding
-  posted_.push_back(op);
-  try_match();
-  return handle;
+  const RecvOp op{next_handle_++, src, tag, static_cast<std::byte*>(buf),
+                  maxlen};
+  // Every drain matches its arrivals before returning, and by the matching
+  // invariant only the new receive can pair: with the earliest-arrived
+  // backlog message it matches.
+  assert(arrived_.empty());
+  const auto it =
+      std::find_if(unmatched_.begin(), unmatched_.end(), [&](const InMsg& m) {
+        ++stats_.match_steps;
+        return matches(op, m);
+      });
+  if (it != unmatched_.end()) {
+    deliver(op, *it);
+    unmatched_.erase(it);
+  } else {
+    // spam-lint: capacity-ok — bounded by receives outstanding
+    posted_.push_back(op);
+  }
+  return op.handle;
 }
 
 bool MplEndpoint::mpc_test(int handle, std::size_t* bytes) {
@@ -179,11 +185,10 @@ void MplEndpoint::handle_packet(sphw::Packet pkt) {
   }
   if (pkt.flags & kFlagMsgLast) {
     assert(msg->received == msg->sysbuf.size());
-    msg->complete = true;
     ++stats_.msgs_received;
-    // spam-lint: capacity-ok — bounded by unmatched complete messages;
-    // drained by try_match on every post
-    unmatched_.push_back(std::move(*msg));
+    // spam-lint: capacity-ok — bounded by one drain's completed messages;
+    // emptied by match_arrived at the end of the drain
+    arrived_.push_back(std::move(*msg));
     assembling_.erase(it);
   }
 
@@ -192,40 +197,34 @@ void MplEndpoint::handle_packet(sphw::Packet pkt) {
   return_credits(pkt.src);
 }
 
-void MplEndpoint::deliver(RecvOp& r, InMsg& m) {
+void MplEndpoint::deliver(const RecvOp& r, const InMsg& m) {
   ctx_.elapse(sim::usec(params_.recv_sw_us));
   const std::size_t n = std::min(r.maxlen, m.sysbuf.size());
   if (n > 0) {
     ctx_.elapse(sim::usec(static_cast<double>(n) * params_.user_copy_us_per_byte));
     std::memcpy(r.buf, m.sysbuf.data(), n);
   }
-  r.done = true;
-  r.got = n;
   // spam-lint: capacity-ok — one record per op, drained by mpc_test
   completed_.emplace_back(r.handle, n);
 }
 
-void MplEndpoint::try_match() {
-  // Arrival order over complete messages, post order over receives: the
-  // MPL matching rule.  The common case (a service loop with one wildcard
-  // receive posted) matches the front element in O(1); with nothing posted
-  // the whole call is O(1), which matters when thousands of service
-  // messages queue up between reposts.
-  if (posted_.empty() || unmatched_.empty()) return;
-  bool matched = true;
-  while (matched) {
-    matched = false;
-    for (auto it = unmatched_.begin(); it != unmatched_.end(); ++it) {
-      for (std::size_t i = 0; i < posted_.size(); ++i) {
-        if (matches(*posted_[i], *it)) {
-          deliver(*posted_[i], *it);
-          posted_.erase(posted_.begin() + static_cast<std::ptrdiff_t>(i));
-          unmatched_.erase(it);
-          matched = true;
-          break;
-        }
-      }
-      if (matched) break;
+void MplEndpoint::match_arrived() {
+  // The MPL rule: complete messages in arrival order, each taking the
+  // earliest-posted receive it matches.  By the matching invariant older
+  // messages match nothing, so only this drain's arrivals are examined;
+  // one that finds no receive joins the unmatched backlog.
+  while (!arrived_.empty()) {
+    ++stats_.match_steps;
+    const InMsg& m = arrived_.front();
+    const auto r = std::find_if(posted_.begin(), posted_.end(),
+                                [&](const RecvOp& op) { return matches(op, m); });
+    if (r != posted_.end()) {
+      deliver(*r, m);
+      posted_.erase(r);
+      arrived_.pop_front();
+    } else {
+      ++stats_.unexpected_msgs;
+      unmatched_.splice(unmatched_.end(), arrived_, arrived_.begin());
     }
   }
 }
@@ -236,7 +235,7 @@ void MplEndpoint::poll() {
     sphw::Packet pkt = adapter_.host_rx_take(ctx_);
     handle_packet(std::move(pkt));
   }
-  try_match();
+  match_arrived();
   progress_sends();
 }
 

@@ -97,7 +97,12 @@ class MplEndpoint {
     std::uint64_t msgs_received = 0;
     std::uint64_t bytes_sent = 0;
     std::uint64_t credit_returns = 0;
+    /// Messages that completed with no matching receive posted.
     std::uint64_t unexpected_msgs = 0;
+    /// Complete messages the matcher examined, summed over every match
+    /// step.  Deterministic; linear in messages received plus, per posted
+    /// receive, the backlog it skips.
+    std::uint64_t match_steps = 0;
   };
   const Stats& stats() const { return stats_; }
 
@@ -118,17 +123,14 @@ class MplEndpoint {
     int tag;  // kAnyTag ok
     std::byte* buf;
     std::size_t maxlen;
-    bool done = false;
-    std::size_t got = 0;
   };
-  /// A message being assembled, or assembled and not yet matched.
+  /// A message being assembled, or complete and not yet delivered.
   struct InMsg {
     int src;
     int tag;
     std::uint32_t msg_id;
     std::vector<std::byte> sysbuf;
     std::size_t received = 0;
-    bool complete = false;
   };
   static std::uint64_t msg_key(int src, std::uint32_t msg_id) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src))
@@ -142,12 +144,12 @@ class MplEndpoint {
 
   void progress_sends();
   void handle_packet(sphw::Packet pkt);
-  void try_match();
+  void match_arrived();
   bool matches(const RecvOp& r, const InMsg& m) const {
     return (r.src == kAnySource || r.src == m.src) &&
            (r.tag == kAnyTag || r.tag == m.tag);
   }
-  void deliver(RecvOp& r, InMsg& m);
+  void deliver(const RecvOp& r, const InMsg& m);
   void return_credits(int src);
 
   sim::NodeCtx& ctx_;
@@ -158,10 +160,16 @@ class MplEndpoint {
   std::uint32_t next_msg_id_ = 1;
 
   std::deque<SendOp> send_q_;
-  std::vector<std::shared_ptr<RecvOp>> posted_;
+  // Matching invariant: after every match step no posted_ receive matches
+  // any unmatched_ message.  Only a new receive or a newly arrived message
+  // can form a pair, so neither side is ever re-scanned.
+  /// Receives awaiting a message, in post order.
+  std::vector<RecvOp> posted_;
   /// Messages still receiving packets, keyed by (src, msg_id).
   std::unordered_map<std::uint64_t, InMsg> assembling_;
-  /// Complete messages awaiting a matching receive, in arrival order.
+  /// Complete messages not yet matched (this drain's), in arrival order.
+  std::list<InMsg> arrived_;
+  /// Complete messages no posted receive matches, in arrival order.
   std::list<InMsg> unmatched_;
   std::vector<PeerCredit> credits_;
   std::vector<bool> dst_seen_;  // progress_sends scratch (avoids churn)

@@ -139,11 +139,133 @@ TEST(Mpl, UnexpectedMessagesBufferUntilPosted) {
   });
   f.world.spawn(1, [&](sim::NodeCtx& ctx) {
     ctx.elapse(sim::usec(5000));  // message arrives well before the recv
+    f.net.ep(1).poll();           // ... and is drained with nothing posted
+    EXPECT_EQ(f.net.ep(1).stats().unexpected_msgs, 1u);
     int v = 0;
     f.net.ep(1).mpc_brecv(&v, sizeof v, 0, 4);
     EXPECT_EQ(v, 77);
   });
   f.world.run();
+  EXPECT_EQ(f.net.ep(1).stats().unexpected_msgs, 1u);
+}
+
+// The MPL pairing rule at both entry points.  At post time a receive takes
+// the earliest-arrived backlog message it matches; at poll time the drain's
+// messages go in arrival order, each to the earliest-posted receive it
+// matches.  Message v carries v ints of value v, and receives of different
+// capacities truncate, so byte counts and the virtual instants (deliver()
+// charges per byte copied) pin the pairing as well.
+TEST(Mpl, PairingOrderAtPostAndPollTime) {
+  Fixture f(3);
+  // Node 0 and node 2 each send at fixed instants, spaced wider than a
+  // one-way message, so node 1 sees a fixed arrival order.
+  struct Send {
+    int node;
+    double at_us;
+    int tag;
+    int value;
+  };
+  const std::vector<Send> sends = {
+      // Backlog, drained before any receive is posted.
+      {0, 0, 1, 10},    // x
+      {2, 300, 2, 20},  // y
+      {0, 600, 3, 30},  // z
+      // One drain, after the poll-time receives are posted.
+      {0, 3000, 7, 40},  // a
+      {2, 3300, 7, 50},  // b
+      {0, 3600, 7, 60},  // c
+      {2, 3900, 8, 70},  // d
+  };
+  for (int node : {0, 2}) {
+    f.world.spawn(node, [&, node](sim::NodeCtx& ctx) {
+      for (const Send& s : sends) {
+        if (s.node != node) continue;
+        const std::vector<int> msg(static_cast<std::size_t>(s.value), s.value);
+        ctx.elapse(sim::usec(s.at_us) - ctx.now());
+        f.net.ep(node).mpc_bsend(msg.data(), msg.size() * sizeof(int), 1,
+                                 s.tag);
+      }
+    });
+  }
+  // Receive i lands in buf[i]; got[i] is its byte count once complete.
+  std::vector<std::vector<int>> buf(7);
+  std::vector<int> handle(7);
+  std::vector<std::size_t> got(7, 0);
+  std::vector<sim::Time> at;
+  f.world.spawn(1, [&](sim::NodeCtx& ctx) {
+    MplEndpoint& ep = f.net.ep(1);
+    auto post = [&](int i, std::size_t cap, int src, int tag) {
+      buf[i].assign(cap, 0);
+      handle[i] = ep.mpc_recv(buf[i].data(), cap * sizeof(int), src, tag);
+    };
+    auto done = [&](int i) { return ep.mpc_test(handle[i], &got[i]); };
+    while (ep.stats().msgs_received < 3) ep.poll();
+    EXPECT_EQ(ep.stats().unexpected_msgs, 3u);
+    at.push_back(ctx.now());
+
+    // Post time: each receive takes its earliest-arrived match.
+    post(0, 64, 2, 2);
+    post(1, 64, kAnySource, 3);
+    EXPECT_TRUE(done(0));
+    EXPECT_TRUE(done(1));
+    at.push_back(ctx.now());
+
+    // Poll time: a specific receive posted before two source wildcards,
+    // with x still in the backlog matching none of them.
+    post(2, 45, 2, 7);
+    post(3, 55, kAnySource, 7);
+    post(4, 64, kAnySource, 7);
+    EXPECT_FALSE(done(2));
+    EXPECT_FALSE(done(3));
+    EXPECT_FALSE(done(4));
+    ctx.elapse(sim::usec(5000));
+    ep.poll();
+    EXPECT_EQ(ep.stats().msgs_received, 7u);
+    EXPECT_TRUE(done(2));
+    EXPECT_TRUE(done(3));
+    EXPECT_TRUE(done(4));
+    EXPECT_EQ(ep.stats().unexpected_msgs, 4u);  // d
+    at.push_back(ctx.now());
+
+    // Post time again: full wildcards take the backlog x, then d.
+    post(5, 64, kAnySource, kAnyTag);
+    post(6, 64, kAnySource, kAnyTag);
+    EXPECT_TRUE(done(5));
+    EXPECT_TRUE(done(6));
+    at.push_back(ctx.now());
+  });
+  f.world.run();
+  // a -> 3 (receive 2 wants node 2), b -> 2 (posted before 4), c -> 4;
+  // b and d are truncated to their receives' capacity.
+  const std::vector<int> value = {20, 30, 50, 40, 60, 10, 70};
+  const std::vector<std::size_t> ints = {20, 30, 45, 40, 60, 10, 64};
+  for (int i = 0; i < 7; ++i) {
+    EXPECT_EQ(buf[i].front(), value[i]) << "receive " << i;
+    EXPECT_EQ(got[i], ints[i] * sizeof(int)) << "receive " << i;
+  }
+  EXPECT_EQ(at, (std::vector<sim::Time>{643992, 663392, 5712496, 5732280}));
+}
+
+// Delivering a backlog costs one match step per message, not one scan of
+// the remaining backlog per message.
+TEST(Mpl, DrainingBacklogIsLinear) {
+  Fixture f(2);
+  constexpr int kMsgs = 2000;
+  f.world.spawn(0, [&](sim::NodeCtx&) {
+    for (int i = 0; i < kMsgs; ++i) f.net.ep(0).mpc_bsend(&i, sizeof i, 1, 3);
+  });
+  f.world.spawn(1, [&](sim::NodeCtx&) {
+    MplEndpoint& ep = f.net.ep(1);
+    while (ep.stats().msgs_received < kMsgs) ep.poll();
+    for (int i = 0; i < kMsgs; ++i) {
+      int v = -1;
+      ep.mpc_brecv(&v, sizeof v);
+      EXPECT_EQ(v, i);
+    }
+  });
+  f.world.run();
+  EXPECT_EQ(f.net.ep(1).stats().unexpected_msgs, std::uint64_t{kMsgs});
+  EXPECT_LE(f.net.ep(1).stats().match_steps, std::uint64_t{2 * kMsgs});
 }
 
 TEST(Mpl, RoundTripLatencyMatchesPaper) {
