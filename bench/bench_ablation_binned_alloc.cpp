@@ -86,8 +86,8 @@ BENCHMARK(BM_SmallMsgPerMessage)
 }  // namespace
 
 int main(int argc, char** argv) {
-  spam::bench::harness_init(&argc, argv);
   benchmark::Initialize(&argc, argv);
+  spam::bench::harness_init(argc, argv);
 
   {  // All four variants, per-message stream and cached 64 B hop latency.
     std::vector<std::function<void()>> points;
@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
                        spam::bench::mpi_hop_latency_us(cfg, 64), 2)});
     }
   }
-  spam::bench::emit(tab);
+  tab.print();
 
   // Allocator-only search-cost comparison under realistic churn.
   auto churn_steps = [](bool binned) {
@@ -154,5 +154,4 @@ int main(int argc, char** argv) {
       "first-fit walks ~5x further than the binned fast path — at "
       "~0.2 us a\nstep, the 'major cost in sending small messages' the "
       "paper reports.\n");
-  return spam::bench::harness_finish();
 }

@@ -87,8 +87,8 @@ BENCHMARK(BM_RttVsWindow)->Arg(8)->Arg(72)->Arg(144)
 }  // namespace
 
 int main(int argc, char** argv) {
-  spam::bench::harness_init(&argc, argv);
   benchmark::Initialize(&argc, argv);
+  spam::bench::harness_init(argc, argv);
 
   {  // Warm every knob setting across --jobs threads.
     std::vector<std::function<void()>> points;
@@ -164,11 +164,10 @@ int main(int argc, char** argv) {
     tab.add_row({"lazy-pop batch", std::to_string(l),
                  spam::report::fmt(bw_with({}, hw))});
   }
-  spam::bench::emit(tab);
+  tab.print();
   std::printf(
       "\nDesign-choice reading: a one-chunk window stalls the pipeline "
       "(chunk N needs the\nack of chunk N-2); per-packet doorbells and "
       "per-packet pops burn a ~1 us\nMicroChannel access each, which is why "
       "the paper batches both.\n");
-  return spam::bench::harness_finish();
 }

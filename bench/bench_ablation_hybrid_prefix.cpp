@@ -43,8 +43,8 @@ BENCHMARK(BM_HybridPrefix)
 }  // namespace
 
 int main(int argc, char** argv) {
-  spam::bench::harness_init(&argc, argv);
   benchmark::Initialize(&argc, argv);
+  spam::bench::harness_init(argc, argv);
 
   {  // Warm every (prefix, size) point across --jobs threads.
     std::vector<std::function<void()>> points;
@@ -74,10 +74,9 @@ int main(int argc, char** argv) {
     }
     tab.add_row(row);
   }
-  spam::bench::emit(tab);
+  tab.print();
   std::printf(
       "\nDesign-choice reading: the prefix keeps the pipe full during the "
       "rendez-vous\nhandshake; gains should saturate near the paper's 4 KB "
       "choice.\n");
-  return spam::bench::harness_finish();
 }

@@ -84,8 +84,8 @@ BENCHMARK(BM_Alltoall)
 }  // namespace
 
 int main(int argc, char** argv) {
-  spam::bench::harness_init(&argc, argv);
   benchmark::Initialize(&argc, argv);
+  spam::bench::harness_init(argc, argv);
 
   {  // 2 schedules x 4 block sizes across --jobs threads.
     std::vector<std::function<void()>> points;
@@ -110,11 +110,10 @@ int main(int argc, char** argv) {
     tab.add_row({std::to_string(kBlocks[b]), spam::report::fmt(naive),
                  spam::report::fmt(stag), spam::report::fmt(naive / stag, 2)});
   }
-  spam::bench::emit(tab);
+  tab.print();
   std::printf(
       "\nReading: the synchronized destination order creates the receiver "
       "hot spot the\npaper blames for FT's MPICH gap ('all processors try "
       "to send to the same\nprocessor at the same time, rather than "
       "spreading out the communication').\n");
-  return spam::bench::harness_finish();
 }

@@ -62,8 +62,8 @@ BENCHMARK(BM_Exchange)->Arg(1024)->Arg(8192)->Arg(65536)
 }  // namespace
 
 int main(int argc, char** argv) {
-  spam::bench::harness_init(&argc, argv);
   benchmark::Initialize(&argc, argv);
+  spam::bench::harness_init(argc, argv);
 
   const auto thin = spam::sphw::SpParams::thin_node();
   const auto wide = spam::sphw::SpParams::wide_node();
@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
                 spam::report::fmt(g_exchange[{piece, false}]),
                 spam::report::fmt(g_exchange[{piece, true}])});
   }
-  spam::bench::emit(ex);
+  ex.print();
 
   spam::report::Table am(
       "Extension — AM microbenchmarks, thin vs wide nodes");
@@ -124,7 +124,7 @@ int main(int argc, char** argv) {
               spam::report::fmt(spam::bench::am_bandwidth_mbps(
                   spam::bench::AmBwMode::kPipelinedAsyncStore, 1 << 20, wide,
                   {}))});
-  spam::bench::emit(am);
+  am.print();
 
   std::printf(
       "\nReading: exchange bandwidth stays near the one-way rate — the "
@@ -133,5 +133,4 @@ int main(int argc, char** argv) {
       "contended resource.  Wide nodes shave host-side\ncosts, helping "
       "latency slightly and bandwidth marginally (the link still "
       "binds).\n");
-  return spam::bench::harness_finish();
 }

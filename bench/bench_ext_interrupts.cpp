@@ -94,8 +94,8 @@ BENCHMARK(BM_BusyResponse)->Arg(0)->Arg(1)->UseManualTime()->Iterations(1);
 }  // namespace
 
 int main(int argc, char** argv) {
-  spam::bench::harness_init(&argc, argv);
   benchmark::Initialize(&argc, argv);
+  spam::bench::harness_init(argc, argv);
 
   spam::bench::prewarm({[] { attentive_rtt_us(false); },
                         [] { attentive_rtt_us(true); },
@@ -111,12 +111,11 @@ int main(int argc, char** argv) {
                spam::report::fmt(attentive_rtt_us(true))});
   tab.add_row({"round-trip, responder computing 5 ms slices (us)",
                spam::report::fmt(g_busy[0]), spam::report::fmt(g_busy[1])});
-  spam::bench::emit(tab);
+  tab.print();
   std::printf(
       "\nReading: with an attentive responder polling wins (no interrupt "
       "cost on the\ncritical path); when the responder computes, polling "
       "defers responses to slice\nboundaries while interrupts bound them "
       "near RTT + interrupt latency — the trade\nthe paper sidesteps by "
       "polling everywhere.\n");
-  return spam::bench::harness_finish();
 }

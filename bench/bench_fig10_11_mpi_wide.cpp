@@ -35,8 +35,8 @@ std::vector<std::size_t> bandwidth_sizes() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  spam::bench::harness_init(&argc, argv);
   benchmark::Initialize(&argc, argv);
+  spam::bench::harness_init(argc, argv);
 
   const auto hw = spam::sphw::SpParams::wide_node();
 
@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
          spam::report::fmt(spam::bench::mpi_hop_latency_us(
              cfg_of(MpiImpl::kMpiF), s))});
   }
-  spam::bench::emit(lat);
+  lat.print();
 
   spam::report::Table bw(
       "Figure 11 — MPI point-to-point bandwidth on wide nodes (MB/s)");
@@ -95,11 +95,10 @@ int main(int argc, char** argv) {
          spam::report::fmt(spam::bench::mpi_bandwidth_mbps(
              cfg_of(MpiImpl::kMpiF), s))});
   }
-  spam::bench::emit(bw);
+  bw.print();
 
   std::printf(
       "\nShape checks (paper, wide nodes): MPI-F is faster below ~100 B "
       "(it was tuned\nhere) but slower for larger messages; the MPI-F 4 KB "
       "discontinuity persists;\nMPI-AM's hybrid stays smooth.\n");
-  return spam::bench::harness_finish();
 }

@@ -86,8 +86,8 @@ void register_sizes(const char* name, void (*fn)(benchmark::State&)) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  spam::bench::harness_init(&argc, argv);
   benchmark::Initialize(&argc, argv);
+  spam::bench::harness_init(argc, argv);
 
   // Register one point per curve per size so the benchmark table lists the
   // whole figure; the summary below prints the series compactly.
@@ -102,11 +102,10 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
 
   // Figure data as a table: size, then the six curves (all cached by now).
-  spam::bench::emit(spam::bench::fig3_table(spam::bench::figure3_sizes()));
+  spam::bench::fig3_table(spam::bench::figure3_sizes()).print();
 
   std::printf(
       "\nShape checks (paper): async >= sync below one chunk and equal "
       "above 8064 B;\nsync get trails sync store at small sizes; all curves "
       "converge to ~34-35 MB/s.\n");
-  return spam::bench::harness_finish();
 }

@@ -65,8 +65,8 @@ void run_curve(const char* name, const MpiWorldConfig& cfg,
 }  // namespace
 
 int main(int argc, char** argv) {
-  spam::bench::harness_init(&argc, argv);
   benchmark::Initialize(&argc, argv);
+  spam::bench::harness_init(argc, argv);
 
   std::vector<spam::report::BwPoint> buffered, rdv, hybrid;
 
@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
                  spam::report::fmt(rdv[i].mbps),
                  spam::report::fmt(hybrid[i].mbps)});
   }
-  spam::bench::emit(tab);
+  tab.print();
 
   // Shape check: the hybrid curve should match or beat both pure protocols
   // in the 4-32 KB switch region.
@@ -128,5 +128,4 @@ int main(int argc, char** argv) {
   }
   std::printf("\nHybrid >= min(buffered, rendez-vous) on %d/%d points in the "
               "switch region.\n", wins, pts);
-  return spam::bench::harness_finish();
 }

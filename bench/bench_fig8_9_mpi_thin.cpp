@@ -35,8 +35,8 @@ std::vector<std::size_t> bandwidth_sizes() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  spam::bench::harness_init(&argc, argv);
   benchmark::Initialize(&argc, argv);
+  spam::bench::harness_init(argc, argv);
 
   const auto hw = spam::sphw::SpParams::thin_node();
 
@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
          spam::report::fmt(spam::bench::mpi_hop_latency_us(
              cfg_of(MpiImpl::kMpiF, hw), s))});
   }
-  spam::bench::emit(lat);
+  lat.print();
 
   spam::report::Table bw(
       "Figure 9 — MPI point-to-point bandwidth on thin nodes (MB/s)");
@@ -95,12 +95,11 @@ int main(int argc, char** argv) {
          spam::report::fmt(spam::bench::mpi_bandwidth_mbps(
              cfg_of(MpiImpl::kMpiF, hw), s))});
   }
-  spam::bench::emit(bw);
+  bw.print();
 
   std::printf(
       "\nShape checks (paper, thin nodes): optimized MPI-AM achieves lower "
       "small-message\nlatency than MPI-F and beats it by 10-30%% at 8-20 KB; "
       "MPI-F dips after its 4 KB\nprotocol switch; all ride below the raw "
       "am_store curve.\n");
-  return spam::bench::harness_finish();
 }

@@ -52,8 +52,8 @@ BENCHMARK(BM_AmPollPerMessage)->UseManualTime()->Iterations(1);
 }  // namespace
 
 int main(int argc, char** argv) {
-  spam::bench::harness_init(&argc, argv);
   benchmark::Initialize(&argc, argv);
+  spam::bench::harness_init(argc, argv);
 
   std::vector<std::function<void()>> points;
   for (int n = 1; n <= 4; ++n) {
@@ -83,6 +83,5 @@ int main(int argc, char** argv) {
           spam::report::fmt_us(spam::bench::am_poll_empty_us()));
   cmp.add("per received message", spam::report::fmt_us(1.8),
           spam::report::fmt_us(spam::bench::am_poll_per_msg_us()));
-  spam::bench::emit(cmp);
-  return spam::bench::harness_finish();
+  cmp.print();
 }

@@ -61,8 +61,8 @@ BENCHMARK(BM_MplRoundTrip)->UseManualTime()->Iterations(1);
 }  // namespace
 
 int main(int argc, char** argv) {
-  spam::bench::harness_init(&argc, argv);
   benchmark::Initialize(&argc, argv);
+  spam::bench::harness_init(argc, argv);
 
   // All round-trips plus the six Figure-3 curves the n-1/2 analysis sweeps.
   std::vector<std::function<void()>> points;
@@ -119,6 +119,5 @@ int main(int argc, char** argv) {
           fmt_bytes(spam::report::n_half(mpl_pipe)));
   cmp.add("MPL n1/2 blocking", "> 3000 B",
           fmt_bytes(spam::report::n_half(mpl_block)));
-  spam::bench::emit(cmp);
-  return spam::bench::harness_finish();
+  cmp.print();
 }

@@ -81,8 +81,8 @@ BENCHMARK(BM_MachineRtt)->DenseRange(0, 2)->UseManualTime()->Iterations(1);
 }  // namespace
 
 int main(int argc, char** argv) {
-  spam::bench::harness_init(&argc, argv);
   benchmark::Initialize(&argc, argv);
+  spam::bench::harness_init(argc, argv);
 
   const LogGpParams presets[] = {LogGpParams::cm5(), LogGpParams::meiko_cs2(),
                                  LogGpParams::unet_atm()};
@@ -136,6 +136,5 @@ int main(int argc, char** argv) {
                    fmt(spam::bench::am_bandwidth_mbps(
                        spam::bench::AmBwMode::kPipelinedAsyncStore,
                        1 << 20))});
-  spam::bench::emit(tab);
-  return spam::bench::harness_finish();
+  tab.print();
 }

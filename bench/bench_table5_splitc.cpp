@@ -86,8 +86,8 @@ std::vector<BenchDef> bench_defs() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  spam::bench::harness_init(&argc, argv);
   benchmark::Initialize(&argc, argv);
+  spam::bench::harness_init(argc, argv);
 
   const auto mach = machines();
   const auto defs = bench_defs();
@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
   std::vector<std::vector<PhaseTimes>> results(
       defs.size(), std::vector<PhaseTimes>(mach.size()));
 
-  spam::driver::SweepRunner(spam::bench::options().jobs)
+  spam::driver::SweepRunner(spam::bench::jobs())
       .run_indexed(defs.size() * mach.size(), [&](std::size_t i) {
         const std::size_t b = i / mach.size();
         const std::size_t m = i % mach.size();
@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
     }
     tab.add_row(row);
   }
-  spam::bench::emit(tab);
+  tab.print();
 
   spam::report::Table fig(
       "Figure 4 — cpu / net split, normalized to the SP AM total");
@@ -157,11 +157,10 @@ int main(int argc, char** argv) {
     }
     fig.add_row(row);
   }
-  spam::bench::emit(fig);
+  fig.print();
 
   std::printf(
       "\nShape checks (paper): MPL >> AM on small-message sorts; MPL ~= AM "
       "on bulk runs;\nSP cpu phases shortest of all machines; SP AM net "
       "phase competitive with CM-5/CS-2\ndespite higher latency.\n");
-  return spam::bench::harness_finish();
 }

@@ -53,15 +53,15 @@ std::vector<Kernel> kernels() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  spam::bench::harness_init(&argc, argv);
   benchmark::Initialize(&argc, argv);
+  spam::bench::harness_init(argc, argv);
 
   const auto ks = kernels();
   // (kernel x impl) results, filled by the parallel sweep; the registered
   // benchmarks then only report the stored values.
   std::vector<NasResult> am_res(ks.size()), f_res(ks.size());
 
-  spam::driver::SweepRunner(spam::bench::options().jobs)
+  spam::driver::SweepRunner(spam::bench::jobs())
       .run_indexed(ks.size() * 2, [&](std::size_t j) {
         const std::size_t i = j / 2;
         if (j % 2 == 0) {
@@ -107,12 +107,11 @@ int main(int argc, char** argv) {
                  spam::report::fmt(am_res[i].time_s / f_res[i].time_s, 2),
                  am_res[i].checksum == f_res[i].checksum ? "yes" : "NO"});
   }
-  spam::bench::emit(tab);
+  tab.print();
 
   std::printf(
       "\nShape checks (paper): MPI-AM within a few %% of MPI-F on BT/MG, "
       "~10%% slower on FT\n(MPICH generic alltoall hot spot) and slower on "
       "LU/SP (MPICH nonblocking path).\nAbsolute seconds differ: kernels "
       "are reduced from class A.\n");
-  return spam::bench::harness_finish();
 }

@@ -1,5 +1,6 @@
 #include "harness.hpp"
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -12,121 +13,44 @@ namespace spam::bench {
 
 namespace {
 
-std::vector<report::Table>& collected() {
-  static std::vector<report::Table> tables;
-  return tables;
-}
+int g_jobs = 0;
 
-void json_escape(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-void json_string_array(std::string& out, const std::vector<std::string>& a) {
-  out += '[';
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += '"';
-    json_escape(out, a[i]);
-    out += '"';
-  }
-  out += ']';
+[[noreturn]] void usage_error(const char* prog, const char* what,
+                              const char* arg) {
+  std::fprintf(stderr,
+               "%s: %s '%s'\n"
+               "usage: %s [--jobs N] [google-benchmark flags]\n",
+               prog, what, arg, prog);
+  std::exit(2);
 }
 
 }  // namespace
 
-HarnessOptions& options() {
-  static HarnessOptions opts;
-  return opts;
+void harness_init(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    const char* a = argv[i];
+    const char* v = nullptr;
+    if (std::strncmp(a, "--jobs=", 7) == 0) {
+      v = a + 7;
+    } else if (std::strcmp(a, "--jobs") == 0) {
+      if (i + 1 == argc) usage_error(argv[0], "missing value for", a);
+      v = argv[++i];
+    } else {
+      usage_error(argv[0], "unrecognized argument", a);
+    }
+    char* end = nullptr;
+    const long n = std::strtol(v, &end, 10);
+    if (*v == '\0' || *end != '\0' || n < 0 || n > INT_MAX) {
+      usage_error(argv[0], "--jobs needs a non-negative integer, got", v);
+    }
+    g_jobs = static_cast<int>(n);
+  }
 }
 
-void harness_init(int* argc, char** argv) {
-  HarnessOptions& o = options();
-  int keep = 1;
-  for (int i = 1; i < *argc; ++i) {
-    const char* a = argv[i];
-    auto value_of = [&](const char* flag) -> const char* {
-      const std::size_t n = std::strlen(flag);
-      if (std::strncmp(a, flag, n) != 0) return nullptr;
-      if (a[n] == '=') return a + n + 1;
-      if (a[n] == '\0' && i + 1 < *argc) return argv[++i];
-      return nullptr;
-    };
-    if (std::strcmp(a, "--quick") == 0) {
-      o.quick = true;
-    } else if (const char* v = value_of("--jobs")) {
-      o.jobs = std::atoi(v);
-    } else if (const char* v = value_of("--out")) {
-      o.out = v;
-    } else {
-      argv[keep++] = argv[i];
-    }
-  }
-  argv[keep] = nullptr;
-  *argc = keep;
-}
+int jobs() { return g_jobs; }
 
 void prewarm(const std::vector<std::function<void()>>& points) {
-  driver::SweepRunner(options().jobs).run(points);
-}
-
-void emit(const report::Table& t) {
-  t.print();
-  collected().push_back(t);
-}
-
-void emit(const report::PaperComparison& c) { emit(c.table()); }
-
-int harness_finish() {
-  const HarnessOptions& o = options();
-  if (o.out.empty()) return 0;
-
-  const driver::ResultCache::Stats cs = driver::ResultCache::instance().stats();
-  std::string j = "{\n";
-  j += "  \"jobs\": " + std::to_string(driver::SweepRunner(o.jobs).jobs());
-  j += ",\n  \"cache\": {\"hits\": " + std::to_string(cs.hits) +
-       ", \"misses\": " + std::to_string(cs.misses) + "}";
-  j += ",\n  \"tables\": [";
-  bool first_table = true;
-  for (const report::Table& t : collected()) {
-    j += first_table ? "\n" : ",\n";
-    first_table = false;
-    j += "    {\"title\": \"";
-    json_escape(j, t.title());
-    j += "\", \"header\": ";
-    json_string_array(j, t.header());
-    j += ", \"rows\": [";
-    for (std::size_t r = 0; r < t.rows().size(); ++r) {
-      if (r != 0) j += ", ";
-      json_string_array(j, t.rows()[r]);
-    }
-    j += "]}";
-  }
-  j += "\n  ]\n}\n";
-
-  std::FILE* f = std::fopen(o.out.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "harness: cannot write %s\n", o.out.c_str());
-    return 1;
-  }
-  std::fwrite(j.data(), 1, j.size(), f);
-  std::fclose(f);
-  std::printf("\nwrote %s\n", o.out.c_str());
-  return 0;
+  driver::SweepRunner(g_jobs).run(points);
 }
 
 std::vector<std::function<void()>> fig3_points(

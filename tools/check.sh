@@ -16,8 +16,8 @@
 #                  not covered by the src/ header-hygiene object library)
 #   build          default (RelWithDebInfo) build + full ctest suite,
 #                  which holds the virtual-time anchors, zero steady-state
-#                  allocation and clock-mode identity (SteadyState.*,
-#                  LocalClockEquivalence.*)
+#                  allocation, mode identity and every paper output
+#                  (SteadyState.*, ModeEquivalence.*, Golden.*)
 #   perfbench      builds the separate host-time benchmark package
 #                  (.bench_build/perfbench) against the current src/, runs
 #                  a 1 s am_micro pass (checks both anchors and every

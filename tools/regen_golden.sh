@@ -4,9 +4,9 @@
 #   tools/regen_golden.sh [BUILD_DIR]
 #
 # A golden changes only when a virtual result changes on purpose; name
-# every regenerated file in CHANGES.md.  To add a golden, give it a case in
-# tools/golden.sh and create its file once with
-# `tools/golden.sh build NAME > tests/golden/NAME.txt`.
+# every regenerated file in CHANGES.md.  A new bench gets its Golden.<name>
+# case from its spam_add_bench target and fails until its file is created
+# once with `tools/golden.sh build NAME > tests/golden/NAME.txt`.
 set -euo pipefail
 
 root=$(cd "$(dirname "$0")/.." && pwd)

@@ -3,19 +3,25 @@
 // latency, the Split-C sorts, NAS kernels, and fault-injection runs.
 //
 //   spamsim rtt   [--hw thin|wide] [--words 1..4]
-//   spamsim raw-rtt
-//   spamsim mpl-rtt
+//   spamsim raw-rtt [--hw thin|wide]
+//   spamsim mpl-rtt [--hw thin|wide]
 //   spamsim bw    [--mode sync-store|sync-get|async-store|async-get|
 //                         mpl-block|mpl-pipe] [--bytes N] [--hw thin|wide]
 //   spamsim mpi-lat [--impl amopt|amunopt|mpif] [--bytes N] [--nodes N]
 //                   [--hw thin|wide]
-//   spamsim mpi-bw  [--impl ...] [--bytes N] [--hw thin|wide]
+//   spamsim mpi-bw  [--impl ...] [--bytes N] [--nodes N] [--hw thin|wide]
 //   spamsim sort  [--backend am|mpl|cm5|cs2|unet] [--keys N]
 //                 [--variant small|bulk] [--kind sample|radix] [--nodes N]
-//   spamsim nas   [--kernel bt|ft|lu|mg|sp] [--impl amopt|mpif] [--n N]
+//   spamsim nas   [--kernel bt|ft|lu|mg|sp] [--impl ...] [--n N]
 //                 [--iters N] [--nodes N]
-//   spamsim fault [--drop 0.05] [--bytes N] [--seed S]
+//   spamsim fault [--drop 0.05] [--bytes N] [--seed S] [--hw thin|wide]
 //   spamsim fig3  [--jobs N] [--sizes full|quick]
+//
+// A flag without a value, a flag the subcommand does not take, a value
+// outside the choices listed above, or a numeric value that is not a
+// non-negative number prints usage and exits 2.  `sort` exits 1 when the
+// sorted keys fail validation, `nas` when the kernel does not finish, and
+// `fault` when the transferred bytes arrive corrupted.
 //
 // `--jobs N` (fig3) spreads the sweep's independent simulations across N
 // host threads via the driver::SweepRunner; the printed table is byte-for-
@@ -24,6 +30,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <set>
 #include <string>
 
 #include "apps/nas.hpp"
@@ -55,12 +62,49 @@ struct Args {
   }
 };
 
-int usage() {
+int usage(const char* bad = nullptr) {
+  if (bad != nullptr) {
+    std::fprintf(stderr, "spamsim: bad argument '%s'\n", bad);
+  }
   std::fprintf(stderr,
                "usage: spamsim <rtt|raw-rtt|mpl-rtt|bw|mpi-lat|mpi-bw|sort|"
                "nas|fault|fig3> [--key value ...]\n"
                "see the header of tools/spamsim.cpp for every flag\n");
   return 2;
+}
+
+// The flags each subcommand takes.
+const std::map<std::string, std::set<std::string>> kKeys = {
+    {"rtt", {"hw", "words"}},
+    {"raw-rtt", {"hw"}},
+    {"mpl-rtt", {"hw"}},
+    {"bw", {"mode", "bytes", "hw"}},
+    {"mpi-lat", {"impl", "bytes", "nodes", "hw"}},
+    {"mpi-bw", {"impl", "bytes", "nodes", "hw"}},
+    {"sort", {"backend", "keys", "variant", "kind", "nodes"}},
+    {"nas", {"kernel", "impl", "n", "iters", "nodes", "hw"}},
+    {"fault", {"drop", "bytes", "seed", "hw"}},
+    {"fig3", {"jobs", "sizes"}},
+};
+
+// The values a flag with a fixed set of choices accepts.
+const std::map<std::string, std::set<std::string>> kChoices = {
+    {"hw", {"thin", "wide"}},
+    {"mode", {"sync-store", "sync-get", "async-store", "async-get",
+              "mpl-block", "mpl-pipe"}},
+    {"impl", {"amopt", "amunopt", "mpif"}},
+    {"backend", {"am", "mpl", "cm5", "cs2", "unet"}},
+    {"variant", {"small", "bulk"}},
+    {"kind", {"sample", "radix"}},
+    {"kernel", {"bt", "ft", "lu", "mg", "sp"}},
+    {"sizes", {"full", "quick"}},
+};
+
+// Flags without a fixed set of choices take a non-negative number.
+bool is_number(const char* s) {
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  return end != s && *end == '\0' && v >= 0;
 }
 
 int run_fig3(const Args& a) {
@@ -147,7 +191,7 @@ int run_nas(const Args& a) {
   std::printf("NAS %s, n=%d, iters=%d, nodes=%d, impl=%s\n", k.c_str(), n,
               iters, cfg.nodes, a.get("impl", "amopt").c_str());
   std::printf("time %.4f s  checksum %.10g\n", r.time_s, r.checksum);
-  return 0;
+  return r.finished ? 0 : 1;
 }
 
 int run_fault(const Args& a) {
@@ -191,9 +235,22 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   Args a;
   a.cmd = argv[1];
-  for (int i = 2; i + 1 < argc; i += 2) {
-    if (std::strncmp(argv[i], "--", 2) != 0) return usage();
-    a.kv[argv[i] + 2] = argv[i + 1];
+  const auto keys = kKeys.find(a.cmd);
+  if (keys == kKeys.end()) return usage();
+  for (int i = 2; i < argc; i += 2) {
+    if (std::strncmp(argv[i], "--", 2) != 0 || i + 1 == argc ||
+        std::strncmp(argv[i + 1], "--", 2) == 0) {
+      return usage(argv[i]);
+    }
+    const std::string key = argv[i] + 2;
+    if (keys->second.count(key) == 0) return usage(argv[i]);
+    const char* value = argv[i + 1];
+    const auto choices = kChoices.find(key);
+    if (choices != kChoices.end() ? choices->second.count(value) == 0
+                                  : !is_number(value)) {
+      return usage(value);
+    }
+    a.kv[key] = value;
   }
 
   if (a.cmd == "rtt") {
@@ -245,8 +302,6 @@ int main(int argc, char** argv) {
     return run_fault(a);
   } else if (a.cmd == "fig3") {
     return run_fig3(a);
-  } else {
-    return usage();
   }
   return 0;
 }
