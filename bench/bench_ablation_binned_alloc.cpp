@@ -2,8 +2,6 @@
 // section 4.2 — the binned receive-buffer allocator and batched frees —
 // measured as small-message MPI latency and throughput, plus the allocator
 // search-cost proxy.
-#include <benchmark/benchmark.h>
-
 #include <array>
 
 #include "driver/sweep.hpp"
@@ -70,23 +68,9 @@ double small_msg_throughput_us(const MpiWorldConfig& cfg) {
 // g_per_msg[binned][batch], filled by the parallel sweep in main().
 std::array<std::array<double, 2>, 2> g_per_msg{};
 
-void BM_SmallMsgPerMessage(benchmark::State& state) {
-  double us = 0;
-  for (auto _ : state) {
-    us = g_per_msg[state.range(0)][state.range(1)];
-    state.SetIterationTime(us * 1e-6);
-  }
-  state.counters["us_per_msg"] = us;
-}
-BENCHMARK(BM_SmallMsgPerMessage)
-    ->ArgsProduct({{0, 1}, {0, 1}})
-    ->UseManualTime()
-    ->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
   spam::bench::harness_init(argc, argv);
 
   {  // All four variants, per-message stream and cached 64 B hop latency.
@@ -105,7 +89,6 @@ int main(int argc, char** argv) {
     }
     spam::bench::prewarm(points);
   }
-  benchmark::RunSpecifiedBenchmarks();
 
   spam::report::Table tab(
       "Buffered-protocol ablation — 512 B message stream (2 nodes)");

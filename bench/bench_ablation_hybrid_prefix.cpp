@@ -1,8 +1,6 @@
 // Ablation: the hybrid protocol's eager-prefix size (paper uses 4 KB).
 // Measures MPI bandwidth around the protocol-switch region for several
 // prefix sizes, including 0 (pure rendez-vous).
-#include <benchmark/benchmark.h>
-
 #include "harness.hpp"
 #include "micro.hpp"
 
@@ -25,25 +23,9 @@ MpiWorldConfig cfg_with_prefix(std::size_t prefix) {
 const std::size_t kPrefixes[] = {0, 1024, 2048, 4096, 7168};
 const std::size_t kSizes[] = {4096, 8192, 12288, 16384, 24576, 32768, 65536};
 
-void BM_HybridPrefix(benchmark::State& state) {
-  const std::size_t prefix = kPrefixes[state.range(0)];
-  const std::size_t size = kSizes[state.range(1)];
-  double bw = 0;
-  for (auto _ : state) {
-    bw = spam::bench::mpi_bandwidth_mbps(cfg_with_prefix(prefix), size);
-    state.SetIterationTime(1e-3);
-  }
-  state.counters["MBps"] = bw;
-}
-BENCHMARK(BM_HybridPrefix)
-    ->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1, 2, 3, 4, 5, 6}})
-    ->UseManualTime()
-    ->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
   spam::bench::harness_init(argc, argv);
 
   {  // Warm every (prefix, size) point across --jobs threads.
@@ -57,7 +39,6 @@ int main(int argc, char** argv) {
     }
     spam::bench::prewarm(points);
   }
-  benchmark::RunSpecifiedBenchmarks();
 
   spam::report::Table tab(
       "Hybrid-prefix ablation — MPI bandwidth (MB/s) by prefix size");

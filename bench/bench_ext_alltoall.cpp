@@ -3,8 +3,6 @@
 // (all senders hammer rank 0, then rank 1, ...), while a vendor-style
 // staggered schedule spreads the load.  Measures both on 16 nodes across
 // block sizes, on the same MPI-AM device.
-#include <benchmark/benchmark.h>
-
 #include <array>
 #include <vector>
 
@@ -68,23 +66,9 @@ const std::size_t kBlocks[] = {256, 1024, 4096, 16384};
 // g_us[staggered][block index], filled by the parallel sweep in main().
 std::array<std::array<double, 4>, 2> g_us{};
 
-void BM_Alltoall(benchmark::State& state) {
-  double us = 0;
-  for (auto _ : state) {
-    us = g_us[state.range(0)][state.range(1)];
-    state.SetIterationTime(us * 1e-6);
-  }
-  state.counters["sim_us"] = us;
-}
-BENCHMARK(BM_Alltoall)
-    ->ArgsProduct({{0, 1}, {0, 1, 2, 3}})
-    ->UseManualTime()
-    ->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
   spam::bench::harness_init(argc, argv);
 
   {  // 2 schedules x 4 block sizes across --jobs threads.
@@ -98,7 +82,6 @@ int main(int argc, char** argv) {
     }
     spam::bench::prewarm(points);
   }
-  benchmark::RunSpecifiedBenchmarks();
 
   spam::report::Table tab(
       "Extension — alltoall schedule, 16 nodes, same MPI-AM transport");

@@ -1,8 +1,6 @@
 // Extension: (a) bidirectional *exchange* bandwidth — the companion
 // measurement the paper's TR reports (footnote 3) — and (b) the AM
 // microbenchmark summary on wide nodes (the paper quotes thin nodes only).
-#include <benchmark/benchmark.h>
-
 #include <map>
 #include <vector>
 
@@ -48,21 +46,9 @@ double exchange_bandwidth_mbps(std::size_t piece,
 // g_exchange[(piece, wide?)], filled by the parallel sweep in main().
 std::map<std::pair<std::size_t, bool>, double> g_exchange;
 
-void BM_Exchange(benchmark::State& state) {
-  double mbps = 0;
-  for (auto _ : state) {
-    mbps = g_exchange[{static_cast<std::size_t>(state.range(0)), false}];
-    state.SetIterationTime(1e-3);
-  }
-  state.counters["MBps_per_node"] = mbps;
-}
-BENCHMARK(BM_Exchange)->Arg(1024)->Arg(8192)->Arg(65536)
-    ->UseManualTime()->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
   spam::bench::harness_init(argc, argv);
 
   const auto thin = spam::sphw::SpParams::thin_node();
@@ -94,7 +80,6 @@ int main(int argc, char** argv) {
     }
     spam::bench::prewarm(points);
   }
-  benchmark::RunSpecifiedBenchmarks();
 
   spam::report::Table ex(
       "Extension — bidirectional exchange bandwidth per node (MB/s)");

@@ -3,8 +3,6 @@
 // choice implies: polling gives minimum latency when the receiver is
 // attentive; interrupts bound response time during long computations at a
 // per-message premium.
-#include <benchmark/benchmark.h>
-
 #include <array>
 #include <vector>
 
@@ -66,42 +64,19 @@ double busy_response_us(bool interrupts) {
   return spam::sim::to_usec(total) / kMsgs;
 }
 
-void BM_AttentiveRtt(benchmark::State& state) {
-  const bool irq = state.range(0) != 0;
-  double us = 0;
-  for (auto _ : state) {
-    us = attentive_rtt_us(irq);
-    state.SetIterationTime(us * 1e-6);
-  }
-  state.counters["sim_us"] = us;
-}
-BENCHMARK(BM_AttentiveRtt)->Arg(0)->Arg(1)->UseManualTime()->Iterations(1);
-
 // g_busy[irq], filled by the parallel sweep in main(); attentive_rtt_us
 // goes through the ResultCache.
 std::array<double, 2> g_busy{};
 
-void BM_BusyResponse(benchmark::State& state) {
-  double us = 0;
-  for (auto _ : state) {
-    us = g_busy[state.range(0)];
-    state.SetIterationTime(us * 1e-6);
-  }
-  state.counters["sim_us"] = us;
-}
-BENCHMARK(BM_BusyResponse)->Arg(0)->Arg(1)->UseManualTime()->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
   spam::bench::harness_init(argc, argv);
 
   spam::bench::prewarm({[] { attentive_rtt_us(false); },
                         [] { attentive_rtt_us(true); },
                         [] { g_busy[0] = busy_response_us(false); },
                         [] { g_busy[1] = busy_response_us(true); }});
-  benchmark::RunSpecifiedBenchmarks();
 
   spam::report::Table tab(
       "Extension — polling vs interrupt-driven reception");

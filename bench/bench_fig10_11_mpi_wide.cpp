@@ -1,8 +1,6 @@
 // Reproduces paper Figures 10 and 11: MPI per-hop latency and bandwidth on
 // wide SP nodes.  MPI-F was tuned on wide nodes, so here it wins on very
 // small messages (< ~100 B) while the optimized MPI-AM takes over above.
-#include <benchmark/benchmark.h>
-
 #include "harness.hpp"
 #include "micro.hpp"
 
@@ -35,7 +33,6 @@ std::vector<std::size_t> bandwidth_sizes() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
   spam::bench::harness_init(argc, argv);
 
   const auto hw = spam::sphw::SpParams::wide_node();
@@ -62,7 +59,6 @@ int main(int argc, char** argv) {
     }
     spam::bench::prewarm(points);
   }
-  benchmark::RunSpecifiedBenchmarks();
 
   spam::report::Table lat(
       "Figure 10 — MPI per-hop latency on wide nodes (us)");

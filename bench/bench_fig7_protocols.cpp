@@ -6,8 +6,6 @@
 // The pure-buffered curve needs room beyond the production 16 KB region,
 // so that configuration runs with an enlarged 256 KB per-peer buffer (the
 // paper's protocol study similarly isolates the protocols).
-#include <benchmark/benchmark.h>
-
 #include "harness.hpp"
 #include "micro.hpp"
 
@@ -54,21 +52,19 @@ std::vector<std::size_t> sizes() {
   return v;
 }
 
-void run_curve(const char* name, const MpiWorldConfig& cfg,
-               std::vector<spam::report::BwPoint>& out) {
+/// One protocol's bandwidth at every size (MB/s).
+std::vector<double> curve(const MpiWorldConfig& cfg) {
+  std::vector<double> out;
   for (std::size_t s : sizes()) {
-    out.push_back({s, spam::bench::mpi_bandwidth_mbps(cfg, s)});
+    out.push_back(spam::bench::mpi_bandwidth_mbps(cfg, s));
   }
-  (void)name;
+  return out;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
   spam::bench::harness_init(argc, argv);
-
-  std::vector<spam::report::BwPoint> buffered, rdv, hybrid;
 
   {  // Warm every (protocol, size) point across --jobs threads.
     std::vector<std::function<void()>> points;
@@ -80,29 +76,9 @@ int main(int argc, char** argv) {
     spam::bench::prewarm(points);
   }
 
-  benchmark::RegisterBenchmark("Fig7/Buffered", [&](benchmark::State& state) {
-    for (auto _ : state) {
-      run_curve("buffered", force_buffered(), buffered);
-      state.SetIterationTime(1e-3);
-    }
-    state.counters["r_inf"] = spam::report::r_infinity(buffered);
-  })->UseManualTime()->Iterations(1);
-  benchmark::RegisterBenchmark("Fig7/Rendezvous",
-                               [&](benchmark::State& state) {
-    for (auto _ : state) {
-      run_curve("rendezvous", force_rendezvous(), rdv);
-      state.SetIterationTime(1e-3);
-    }
-    state.counters["r_inf"] = spam::report::r_infinity(rdv);
-  })->UseManualTime()->Iterations(1);
-  benchmark::RegisterBenchmark("Fig7/Hybrid", [&](benchmark::State& state) {
-    for (auto _ : state) {
-      run_curve("hybrid", force_hybrid(), hybrid);
-      state.SetIterationTime(1e-3);
-    }
-    state.counters["r_inf"] = spam::report::r_infinity(hybrid);
-  })->UseManualTime()->Iterations(1);
-  benchmark::RunSpecifiedBenchmarks();
+  const auto buffered = curve(force_buffered());
+  const auto rdv = curve(force_rendezvous());
+  const auto hybrid = curve(force_hybrid());
 
   spam::report::Table tab(
       "Figure 7 — buffered vs rendez-vous vs hybrid protocol bandwidth "
@@ -110,9 +86,8 @@ int main(int argc, char** argv) {
   tab.set_header({"bytes", "buffered", "rendez-vous", "hybrid"});
   const auto sz = sizes();
   for (std::size_t i = 0; i < sz.size(); ++i) {
-    tab.add_row({std::to_string(sz[i]), spam::report::fmt(buffered[i].mbps),
-                 spam::report::fmt(rdv[i].mbps),
-                 spam::report::fmt(hybrid[i].mbps)});
+    tab.add_row({std::to_string(sz[i]), spam::report::fmt(buffered[i]),
+                 spam::report::fmt(rdv[i]), spam::report::fmt(hybrid[i])});
   }
   tab.print();
 
@@ -122,7 +97,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < sz.size(); ++i) {
     if (sz[i] < 4096 || sz[i] > 32768) continue;
     ++pts;
-    if (hybrid[i].mbps + 0.5 >= std::min(buffered[i].mbps, rdv[i].mbps)) {
+    if (hybrid[i] + 0.5 >= std::min(buffered[i], rdv[i])) {
       ++wins;
     }
   }

@@ -1,8 +1,6 @@
 // Reproduces paper Figures 8 and 9: MPI point-to-point per-hop latency
 // (4-node ring) and bandwidth on thin SP nodes, four curves each:
 // raw am_store, unoptimized MPI-AM, optimized MPI-AM, and MPI-F.
-#include <benchmark/benchmark.h>
-
 #include "harness.hpp"
 #include "micro.hpp"
 
@@ -35,7 +33,6 @@ std::vector<std::size_t> bandwidth_sizes() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
   spam::bench::harness_init(argc, argv);
 
   const auto hw = spam::sphw::SpParams::thin_node();
@@ -62,7 +59,6 @@ int main(int argc, char** argv) {
     }
     spam::bench::prewarm(points);
   }
-  benchmark::RunSpecifiedBenchmarks();
 
   spam::report::Table lat(
       "Figure 8 — MPI per-hop latency on thin nodes (us)");

@@ -1,58 +1,9 @@
 // Reproduces paper Table 2: cost of am_request_N / am_reply_N calls,
 // plus the poll costs quoted in section 2.5.
-#include <benchmark/benchmark.h>
-
 #include "harness.hpp"
 #include "micro.hpp"
 
-namespace {
-
-void BM_AmRequestCost(benchmark::State& state) {
-  const int words = static_cast<int>(state.range(0));
-  double us = 0;
-  for (auto _ : state) {
-    us = spam::bench::am_request_cost_us(words);
-    state.SetIterationTime(us * 1e-6);
-  }
-  state.counters["sim_us"] = us;
-}
-BENCHMARK(BM_AmRequestCost)->DenseRange(1, 4)->UseManualTime()->Iterations(1);
-
-void BM_AmReplyCost(benchmark::State& state) {
-  const int words = static_cast<int>(state.range(0));
-  double us = 0;
-  for (auto _ : state) {
-    us = spam::bench::am_reply_cost_us(words);
-    state.SetIterationTime(us * 1e-6);
-  }
-  state.counters["sim_us"] = us;
-}
-BENCHMARK(BM_AmReplyCost)->DenseRange(1, 4)->UseManualTime()->Iterations(1);
-
-void BM_AmPollEmpty(benchmark::State& state) {
-  double us = 0;
-  for (auto _ : state) {
-    us = spam::bench::am_poll_empty_us();
-    state.SetIterationTime(us * 1e-6);
-  }
-  state.counters["sim_us"] = us;
-}
-BENCHMARK(BM_AmPollEmpty)->UseManualTime()->Iterations(1);
-
-void BM_AmPollPerMessage(benchmark::State& state) {
-  double us = 0;
-  for (auto _ : state) {
-    us = spam::bench::am_poll_per_msg_us();
-    state.SetIterationTime(us * 1e-6);
-  }
-  state.counters["sim_us"] = us;
-}
-BENCHMARK(BM_AmPollPerMessage)->UseManualTime()->Iterations(1);
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
   spam::bench::harness_init(argc, argv);
 
   std::vector<std::function<void()>> points;
@@ -63,8 +14,6 @@ int main(int argc, char** argv) {
   points.push_back([] { spam::bench::am_poll_empty_us(); });
   points.push_back([] { spam::bench::am_poll_per_msg_us(); });
   spam::bench::prewarm(points);
-
-  benchmark::RunSpecifiedBenchmarks();
 
   spam::report::PaperComparison cmp(
       "Table 2 — cost of am_request_N / am_reply_N (thin nodes)");

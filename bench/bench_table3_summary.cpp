@@ -1,8 +1,6 @@
 // Reproduces paper Table 3 (performance summary of SP AM vs IBM MPL) and
 // the section 2.3 latency numbers: one-word round-trips (AM 51.0 us, raw
 // 46.5 us, MPL 88 us), asymptotic bandwidths, and half-power points.
-#include <benchmark/benchmark.h>
-
 #include "harness.hpp"
 #include "micro.hpp"
 
@@ -28,45 +26,15 @@ std::vector<BwPoint> sweep_mpl(MplBwMode mode) {
   return curve;
 }
 
-void BM_AmRoundTrip(benchmark::State& state) {
-  double us = 0;
-  for (auto _ : state) {
-    us = spam::bench::am_rtt_us(static_cast<int>(state.range(0)));
-    state.SetIterationTime(us * 1e-6);
-  }
-  state.counters["sim_us"] = us;
-}
-BENCHMARK(BM_AmRoundTrip)->DenseRange(1, 4)->UseManualTime()->Iterations(1);
-
-void BM_RawRoundTrip(benchmark::State& state) {
-  double us = 0;
-  for (auto _ : state) {
-    us = spam::bench::raw_rtt_us();
-    state.SetIterationTime(us * 1e-6);
-  }
-  state.counters["sim_us"] = us;
-}
-BENCHMARK(BM_RawRoundTrip)->UseManualTime()->Iterations(1);
-
-void BM_MplRoundTrip(benchmark::State& state) {
-  double us = 0;
-  for (auto _ : state) {
-    us = spam::bench::mpl_rtt_us();
-    state.SetIterationTime(us * 1e-6);
-  }
-  state.counters["sim_us"] = us;
-}
-BENCHMARK(BM_MplRoundTrip)->UseManualTime()->Iterations(1);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
   spam::bench::harness_init(argc, argv);
 
-  // All round-trips plus the six Figure-3 curves the n-1/2 analysis sweeps.
+  // The round-trips the table reads plus the six Figure-3 curves the
+  // n-1/2 analysis sweeps.
   std::vector<std::function<void()>> points;
-  for (int n = 1; n <= 4; ++n) {
+  for (int n : {1, 4}) {
     points.push_back([n] { spam::bench::am_rtt_us(n); });
   }
   points.push_back([] { spam::bench::raw_rtt_us(); });
@@ -75,8 +43,6 @@ int main(int argc, char** argv) {
     points.push_back(std::move(p));
   }
   spam::bench::prewarm(points);
-
-  benchmark::RunSpecifiedBenchmarks();
 
   using spam::report::fmt_bytes;
   using spam::report::fmt_mbps;

@@ -2,8 +2,6 @@
 // Meiko CS-2, U-Net/ATM cluster, and IBM SP — message overhead, round-trip
 // latency, and per-node bandwidth, measured on the respective machine
 // models.
-#include <benchmark/benchmark.h>
-
 #include <array>
 
 #include "driver/sweep.hpp"
@@ -64,24 +62,13 @@ struct Row {
   double paper_bw;
 };
 
-// Filled by the parallel sweep in main() before benchmarks run.
+// Filled by the parallel sweep in main().
 std::array<double, 3> g_rtt{};
 std::array<double, 3> g_bw{};
-
-void BM_MachineRtt(benchmark::State& state) {
-  double us = 0;
-  for (auto _ : state) {
-    us = g_rtt[static_cast<std::size_t>(state.range(0))];
-    state.SetIterationTime(us * 1e-6);
-  }
-  state.counters["sim_us"] = us;
-}
-BENCHMARK(BM_MachineRtt)->DenseRange(0, 2)->UseManualTime()->Iterations(1);
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
   spam::bench::harness_init(argc, argv);
 
   const LogGpParams presets[] = {LogGpParams::cm5(), LogGpParams::meiko_cs2(),
@@ -102,8 +89,6 @@ int main(int argc, char** argv) {
                                    1 << 20);
   });
   spam::bench::prewarm(points);
-
-  benchmark::RunSpecifiedBenchmarks();
 
   using spam::report::fmt;
 

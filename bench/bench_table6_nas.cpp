@@ -3,8 +3,6 @@
 // simulation runs every byte of communication); the reproduction target is
 // the *ratio* between the two MPI implementations per kernel and the FT
 // gap caused by MPICH's naive alltoall.
-#include <benchmark/benchmark.h>
-
 #include <functional>
 
 #include "apps/nas.hpp"
@@ -53,12 +51,10 @@ std::vector<Kernel> kernels() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
   spam::bench::harness_init(argc, argv);
 
   const auto ks = kernels();
-  // (kernel x impl) results, filled by the parallel sweep; the registered
-  // benchmarks then only report the stored values.
+  // (kernel x impl) results, filled by the parallel sweep.
   std::vector<NasResult> am_res(ks.size()), f_res(ks.size());
 
   spam::driver::SweepRunner(spam::bench::jobs())
@@ -72,26 +68,6 @@ int main(int argc, char** argv) {
           am_res[i] = ks[i].run(w);
         }
       });
-
-  for (std::size_t i = 0; i < ks.size(); ++i) {
-    benchmark::RegisterBenchmark(
-        (std::string("Table6/") + ks[i].name + "/MPI-F").c_str(),
-        [&, i](benchmark::State& state) {
-          for (auto _ : state) state.SetIterationTime(f_res[i].time_s);
-          state.counters["sim_s"] = f_res[i].time_s;
-        })
-        ->UseManualTime()
-        ->Iterations(1);
-    benchmark::RegisterBenchmark(
-        (std::string("Table6/") + ks[i].name + "/MPI-AM").c_str(),
-        [&, i](benchmark::State& state) {
-          for (auto _ : state) state.SetIterationTime(am_res[i].time_s);
-          state.counters["sim_s"] = am_res[i].time_s;
-        })
-        ->UseManualTime()
-        ->Iterations(1);
-  }
-  benchmark::RunSpecifiedBenchmarks();
 
   spam::report::Table tab(
       "Table 6 — NAS kernels on 16 thin nodes (reduced size)");

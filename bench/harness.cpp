@@ -19,7 +19,7 @@ int g_jobs = 0;
                               const char* arg) {
   std::fprintf(stderr,
                "%s: %s '%s'\n"
-               "usage: %s [--jobs N] [google-benchmark flags]\n",
+               "usage: %s [--jobs N]\n",
                prog, what, arg, prog);
   std::exit(2);
 }

@@ -3,21 +3,18 @@
 // Every bench main follows the same shape:
 //
 //   int main(int argc, char** argv) {
-//     benchmark::Initialize(&argc, argv);       // strips its own flags
 //     spam::bench::harness_init(argc, argv);    // --jobs; exits 2 on others
-//     ... register benchmarks ...
 //     spam::bench::prewarm(points);             // parallel, fills ResultCache
-//     benchmark::RunSpecifiedBenchmarks();      // serial pass, hits the cache
 //     ... build report tables, print() each ...
 //   }
 //
 // prewarm() runs the measurement closures across --jobs host threads via
 // driver::SweepRunner; each closure constructs and runs its own
 // shared-nothing sim::World and stores its scalar into the process-wide
-// driver::ResultCache.  The serial google-benchmark pass and the table
-// builders then read cached values, so the printed bytes are identical for
-// any --jobs setting — parallelism only moves the compute, never the
-// aggregation order.  tests/golden/<bench>.txt pins those bytes.
+// driver::ResultCache.  The table builders then read cached values, so the
+// printed bytes are identical for any --jobs setting — parallelism only
+// moves the compute, never the aggregation order.  tests/golden/<bench>.txt
+// pins those bytes.
 #pragma once
 
 #include <cstddef>
@@ -30,10 +27,9 @@
 
 namespace spam::bench {
 
-/// Parses what benchmark::Initialize left of argv: only `--jobs N` or
-/// `--jobs=N` (host threads for prewarm sweeps, N >= 0).  Anything else —
-/// an unknown argument, a missing, non-numeric or negative N — prints
-/// usage and exits 2.
+/// Parses argv: only `--jobs N` or `--jobs=N` (host threads for prewarm
+/// sweeps, N >= 0).  Anything else — an unknown argument, a missing,
+/// non-numeric or negative N — prints usage and exits 2.
 void harness_init(int argc, char** argv);
 
 /// The --jobs value; <= 0 selects hardware_concurrency.

@@ -445,8 +445,8 @@ double am_store_bandwidth_mbps(std::size_t bytes, sphw::SpParams hw) {
 // Each measurement is keyed on (bench id, every parameter field, size/mode)
 // and computed at most once per invocation via driver::ResultCache.  The
 // prewarm sweep (bench/harness.hpp) fills the cache across host threads;
-// the google-benchmark pass and the table builders then read it.  Params
-// are mixed field-by-field so padding bytes never reach the key.
+// the table builders then read it.  Params are mixed field-by-field so
+// padding bytes never reach the key.
 
 namespace {
 

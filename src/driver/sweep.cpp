@@ -1,9 +1,45 @@
 #include "driver/sweep.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
 #include <limits>
 #include <thread>
+#include <utility>
 
 namespace spam::driver {
+
+namespace {
+
+/// The failure of the lowest index, whatever order the threads hit them
+/// in: the exception a serial run would have thrown.
+class LowestFailure {
+ public:
+  void record(std::size_t i, std::exception_ptr e) SPAM_EXCLUDES(mu_) {
+    MutexLock lk(mu_);
+    if (i < index_) {
+      index_ = i;
+      error_ = std::move(e);
+    }
+  }
+
+  void rethrow() SPAM_EXCLUDES(mu_) {
+    std::exception_ptr e;
+    {
+      MutexLock lk(mu_);
+      e = error_;
+    }
+    if (e) std::rethrow_exception(e);
+  }
+
+ private:
+  Mutex mu_;
+  std::size_t index_ SPAM_GUARDED_BY(mu_) =
+      std::numeric_limits<std::size_t>::max();
+  std::exception_ptr error_ SPAM_GUARDED_BY(mu_);
+};
+
+}  // namespace
 
 SweepRunner::SweepRunner(int jobs) {
   if (jobs <= 0) {
@@ -21,30 +57,31 @@ void SweepRunner::run_indexed(std::size_t n,
     return;
   }
 
-  // The pool is per-run: sweeps are coarse enough that thread start-up is
-  // noise, and tearing the workers down keeps every thread-local arena
-  // (payload pool, counters) bounded by the sweep that created it.
-  ThreadPool pool(static_cast<unsigned>(jobs_));
-
-  Mutex err_mu;
-  std::size_t err_index = std::numeric_limits<std::size_t>::max();
-  std::exception_ptr err;
-
-  for (std::size_t i = 0; i < n; ++i) {
-    pool.submit([&, i] {
+  // The threads are per run: sweeps are coarse enough that thread start-up
+  // is noise, and joining them keeps every thread-local arena (payload
+  // pool, counters) bounded by the sweep that created it.
+  std::atomic<std::size_t> claimed{0};
+  LowestFailure failure;
+  auto work = [&] {
+    for (std::size_t k = claimed.fetch_add(1, std::memory_order_relaxed);
+         k < n; k = claimed.fetch_add(1, std::memory_order_relaxed)) {
+      const std::size_t i = n - 1 - k;  // highest index first
       try {
         fn(i);
       } catch (...) {
-        MutexLock lk(err_mu);
-        if (i < err_index) {  // deterministic: lowest index wins
-          err_index = i;
-          err = std::current_exception();
-        }
+        failure.record(i, std::current_exception());
       }
-    });
+    }
+  };
+  {
+    // jthread joins on destruction, so the threads already running are
+    // joined even when starting a later one throws.
+    std::vector<std::jthread> threads;
+    const std::size_t count = std::min(n, static_cast<std::size_t>(jobs_));
+    threads.reserve(count);
+    for (std::size_t t = 0; t < count; ++t) threads.emplace_back(work);
   }
-  pool.wait_idle();
-  if (err) std::rethrow_exception(err);
+  failure.rethrow();
 }
 
 ResultCache& ResultCache::instance() {

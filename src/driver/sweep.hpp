@@ -11,6 +11,11 @@
 // only has to keep the aggregation order fixed, which slot-indexed results
 // do by construction.
 //
+// Scheduling: the threads claim indices from one shared counter, highest
+// index first, so a caller that lists its longest points last gets them
+// started first and the short points fill in around them.  A long point
+// holds back only the thread running it.
+//
 // Thread-safety contract (see docs/simulator.md): a job owns everything it
 // touches.  One World per thread at a time, engine/payload/trace state is
 // thread-local, and nothing simulated crosses threads.  Jobs communicate
@@ -30,19 +35,19 @@
 #include <vector>
 
 #include "driver/annotations.hpp"
-#include "driver/pool.hpp"
 
 namespace spam::driver {
 
 class SweepRunner {
  public:
   /// `jobs` <= 0 selects hardware_concurrency.  jobs == 1 runs everything
-  /// inline on the calling thread (no pool is created).
+  /// inline on the calling thread (no thread is started).
   explicit SweepRunner(int jobs = 0);
 
   int jobs() const { return jobs_; }
 
-  /// Runs fn(0) .. fn(n-1) across the pool; returns when all completed.
+  /// Runs fn(n-1) .. fn(0) on min(jobs, n) threads started for this call;
+  /// returns when all completed and the threads are joined.
   void run_indexed(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Runs every closure; results land in slot [i] for closure [i].
@@ -107,10 +112,9 @@ class Hasher {
 
 /// Process-wide, thread-safe memoization of scalar measurement points.
 /// Within one invocation a (bench id, params, size/mode) point is computed
-/// once; every later request — the google-benchmark pass, the report
-/// table, another curve sharing the point — is a lookup.  Values are
-/// deterministic simulation outputs, so which thread computes a point
-/// first cannot change what is stored.
+/// once; every later request — the report table, another curve sharing
+/// the point — is a lookup.  Values are deterministic simulation outputs,
+/// so which thread computes a point first cannot change what is stored.
 class ResultCache {
  public:
   static ResultCache& instance();

@@ -78,15 +78,15 @@ class Engine {
 
   /// Enables/disables every proven-equivalent shortcut that hangs off the
   /// engine (elapse skip-ahead here; the network fast path reads the same
-  /// flag through sphw::SpParams).  On by default; the fast-path
-  /// equivalence suite flips it off for the dual-mode comparison.
+  /// flag through sphw::SpParams).  On by default; ModeEquivalence
+  /// (tests/test_mode_equivalence.cpp) flips it off for the comparison.
   void set_fastpath(bool on) { fastpath_ = on; }
   bool fastpath() const { return fastpath_; }
 
   /// Enables/disables the node-local virtual clocks (deferred compute
   /// charging, src/sim/world.cpp).  Independent of the network fast path
-  /// so the two shortcuts can be compared in isolation; the local-clock
-  /// equivalence suite flips it off for the dual-mode comparison.
+  /// so the two shortcuts can be compared in isolation; ModeEquivalence
+  /// (tests/test_mode_equivalence.cpp) flips it off for the comparison.
   void set_localclock(bool on) { localclock_ = on; }
   bool localclock() const { return localclock_; }
 

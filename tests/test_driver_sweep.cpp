@@ -1,11 +1,13 @@
 // SweepRunner + ResultCache + Hasher: slot-ordered aggregation under
-// adversarial job durations, deterministic exception selection, memoize
+// adversarial job durations, highest-index-first scheduling, a long point
+// not holding back the rest, deterministic exception selection, memoize
 // semantics, key distinctness, and the serial-vs-parallel determinism
 // guarantee on a real Figure-3 sub-sweep.  TSan-clean by design (the
 // `tsan` CMake preset runs everything labelled `driver` under
 // ThreadSanitizer).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -91,6 +93,44 @@ TEST(SweepRunner, RethrowsLowestIndexedFailure) {
   // Serial rethrows the same exception (it stops at the first failure, and
   // every job below index 3 had succeeded).
   EXPECT_EQ(sweep(1), "fail 3");
+}
+
+TEST(SweepRunner, StartsHighestIndexFirst) {
+  // perfbench's paper_sweep lists its longest points last so that they
+  // start first.  With two threads the first two points started must be
+  // n-1 and n-2: every point waits until two have started, so neither
+  // thread can claim a third index before both first claims are recorded.
+  constexpr std::size_t kJobs = 16;
+  std::atomic<int> started{0};
+  std::array<std::atomic<std::size_t>, kJobs> order{};
+  SweepRunner(2).run_indexed(kJobs, [&](std::size_t i) {
+    order[static_cast<std::size_t>(started.fetch_add(1))].store(i);
+    while (started.load() < 2) std::this_thread::yield();
+  });
+  ASSERT_EQ(started.load(), static_cast<int>(kJobs));
+  const std::size_t a = order[0].load();
+  const std::size_t b = order[1].load();
+  EXPECT_EQ(std::max(a, b), kJobs - 1);
+  EXPECT_EQ(std::min(a, b), kJobs - 2);
+}
+
+TEST(SweepRunner, LongPointDoesNotHoldBackOthers) {
+  // The 200 ms point is claimed first (highest index); the other three
+  // threads must run all 63 instant points while it sleeps, not queue
+  // them behind it.
+  constexpr std::size_t kJobs = 64;
+  std::atomic<int> short_done{0};
+  int short_done_when_long_finished = -1;
+  SweepRunner(4).run_indexed(kJobs, [&](std::size_t i) {
+    if (i == kJobs - 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+      short_done_when_long_finished = short_done.load();
+    } else {
+      short_done.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(short_done.load(), 63);
+  EXPECT_EQ(short_done_when_long_finished, 63);
 }
 
 TEST(ResultCache, ComputesOnceThenHits) {

@@ -5,10 +5,10 @@
 #   tools/golden.sh BUILD_DIR NAME
 #
 # NAME is a bench binary (bench_*), `spamsim` or one of the two 16K-key
-# MPL small sorts (spamsim_sort_mpl_small_{radix,sample}_16k).  Bench
-# binaries print google-benchmark's console rows first; those carry host
-# CPU time, so only the rendered tables from the first "== " heading on are
-# kept.  `spamsim` runs a fixed command list, each output preceded by its
+# MPL small sorts (spamsim_sort_mpl_small_{radix,sample}_16k).  A bench
+# prints only its rendered tables; each render opens with a blank line the
+# goldens do not hold, so output is kept from the first "== " heading on.
+# `spamsim` runs a fixed command list, each output preceded by its
 # command line; with the two sorts it covers every subcommand and every
 # choice of every option.  tools/regen_golden.sh rewrites the files; the
 # Golden.* ctest cases diff against them.
