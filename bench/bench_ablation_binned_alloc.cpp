@@ -2,8 +2,6 @@
 // section 4.2 — the binned receive-buffer allocator and batched frees —
 // measured as small-message MPI latency and throughput, plus the allocator
 // search-cost proxy.
-#include <array>
-
 #include "driver/sweep.hpp"
 #include "harness.hpp"
 #include "micro.hpp"
@@ -29,7 +27,7 @@ MpiWorldConfig variant(bool binned, bool batch_frees) {
 /// Per-message time of a mixed-size stream consumed out of order — the
 /// pattern that fragments the receive buffer and makes first-fit walks
 /// long (the paper's profiling scenario).
-double small_msg_throughput_us(const MpiWorldConfig& cfg) {
+double small_msg_throughput_us_raw(const MpiWorldConfig& cfg) {
   spam::mpi::MpiWorld w(cfg);
   constexpr int kGroups = 50;
   constexpr int kPerGroup = 8;
@@ -65,76 +63,63 @@ double small_msg_throughput_us(const MpiWorldConfig& cfg) {
   return spam::sim::to_usec(elapsed) / kMsgs;
 }
 
-// g_per_msg[binned][batch], filled by the parallel sweep in main().
-std::array<std::array<double, 2>, 2> g_per_msg{};
+double small_msg_throughput_us(const MpiWorldConfig& cfg) {
+  spam::driver::Hasher h("small_msg_throughput_us");
+  return spam::bench::cached(spam::bench::mix(h, cfg),
+                             [cfg] { return small_msg_throughput_us_raw(cfg); });
+}
+
+/// First-fit search steps of the allocator alone under realistic churn.
+std::uint64_t churn_steps(bool binned) {
+  spam::mpi::BufferAllocator a(16 * 1024, binned);
+  spam::sim::Rng rng(11);
+  std::vector<std::pair<std::size_t, std::size_t>> live;
+  for (int i = 0; i < 20000; ++i) {
+    if (live.size() > 6 && rng.chance(0.55)) {
+      const std::size_t k = rng.next_below(live.size());
+      a.free(live[k].first, live[k].second);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+    } else {
+      const std::size_t len = 64 + rng.next_below(960);
+      const std::size_t off = a.alloc(len);
+      if (off != spam::mpi::BufferAllocator::kFail) live.emplace_back(off, len);
+    }
+  }
+  return a.stats().fit_search_steps;
+}
 
 }  // namespace
 
 int main(int argc, char** argv) {
   spam::bench::harness_init(argc, argv);
-
-  {  // All four variants, per-message stream and cached 64 B hop latency.
-    std::vector<std::function<void()>> points;
-    for (int binned = 0; binned < 2; ++binned) {
-      for (int batch = 0; batch < 2; ++batch) {
-        points.push_back([binned, batch] {
-          g_per_msg[binned][batch] =
-              small_msg_throughput_us(variant(binned != 0, batch != 0));
-        });
-        points.push_back([binned, batch] {
-          spam::bench::mpi_hop_latency_us(variant(binned != 0, batch != 0),
-                                          64);
-        });
+  // The allocator-only comparison simulates nothing; it runs once, here.
+  const std::string steps =
+      "\nFirst-fit search steps under churn: first-fit-only=" +
+      std::to_string(churn_steps(false)) +
+      ", binned=" + std::to_string(churn_steps(true)) + "\n";
+  return spam::bench::run_tables([&] {
+    spam::report::Table tab(
+        "Buffered-protocol ablation — 512 B message stream (2 nodes)");
+    tab.set_header(
+        {"allocator", "frees", "us per message", "hop latency 64B"});
+    for (const bool binned : {false, true}) {
+      for (const bool batch : {false, true}) {
+        const auto cfg = variant(binned, batch);
+        tab.add_row(
+            {binned ? "binned+first-fit" : "first-fit only",
+             batch ? "batched" : "one per buffer",
+             spam::report::fmt(small_msg_throughput_us(cfg), 2),
+             spam::report::fmt(spam::bench::mpi_hop_latency_us(cfg, 64), 2)});
       }
     }
-    spam::bench::prewarm(points);
-  }
-
-  spam::report::Table tab(
-      "Buffered-protocol ablation — 512 B message stream (2 nodes)");
-  tab.set_header({"allocator", "frees", "us per message", "hop latency 64B"});
-  for (const bool binned : {false, true}) {
-    for (const bool batch : {false, true}) {
-      const auto cfg = variant(binned, batch);
-      tab.add_row({binned ? "binned+first-fit" : "first-fit only",
-                   batch ? "batched" : "one per buffer",
-                   spam::report::fmt(g_per_msg[binned ? 1 : 0][batch ? 1 : 0],
-                                     2),
-                   spam::report::fmt(
-                       spam::bench::mpi_hop_latency_us(cfg, 64), 2)});
-    }
-  }
-  tab.print();
-
-  // Allocator-only search-cost comparison under realistic churn.
-  auto churn_steps = [](bool binned) {
-    spam::mpi::BufferAllocator a(16 * 1024, binned);
-    spam::sim::Rng rng(11);
-    std::vector<std::pair<std::size_t, std::size_t>> live;
-    for (int i = 0; i < 20000; ++i) {
-      if (live.size() > 6 && rng.chance(0.55)) {
-        const std::size_t k = rng.next_below(live.size());
-        a.free(live[k].first, live[k].second);
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
-      } else {
-        const std::size_t len = 64 + rng.next_below(960);
-        const std::size_t off = a.alloc(len);
-        if (off != spam::mpi::BufferAllocator::kFail) live.emplace_back(off, len);
-      }
-    }
-    return a.stats().fit_search_steps;
-  };
-  std::printf("\nFirst-fit search steps under churn: first-fit-only=%llu, "
-              "binned=%llu\n",
-              static_cast<unsigned long long>(churn_steps(false)),
-              static_cast<unsigned long long>(churn_steps(true)));
-  std::printf(
-      "Design-choice reading: batching frees shows directly in the "
-      "us/message column\n(one fewer control message per buffer).  The "
-      "binned allocator's effect is the\nsearch-step count above: a clean "
-      "2-node stream keeps the hole list short, but\nunder the fragmented "
-      "churn real MPI traffic produces (the paper's profiling\nscenario) "
-      "first-fit walks ~5x further than the binned fast path — at "
-      "~0.2 us a\nstep, the 'major cost in sending small messages' the "
-      "paper reports.\n");
+    return tab.render() + steps +
+           "Design-choice reading: batching frees shows directly in the "
+           "us/message column\n(one fewer control message per buffer).  The "
+           "binned allocator's effect is the\nsearch-step count above: a "
+           "clean 2-node stream keeps the hole list short, but\nunder the "
+           "fragmented churn real MPI traffic produces (the paper's "
+           "profiling\nscenario) first-fit walks ~5x further than the "
+           "binned fast path — at ~0.2 us a\nstep, the 'major cost in "
+           "sending small messages' the paper reports.\n";
+  });
 }

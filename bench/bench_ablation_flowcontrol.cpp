@@ -1,7 +1,6 @@
 // Ablation: the flow-control design choices of SP AM (section 2.2).
 // Sweeps chunk size, window size, doorbell batching, and the lazy-pop
 // batch, reporting their effect on bulk bandwidth.
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -57,24 +56,17 @@ double bw_of(const Knob& k) {
 
 int main(int argc, char** argv) {
   spam::bench::harness_init(argc, argv);
-
-  const auto ks = knobs();
-  {  // Warm every knob setting across --jobs threads.
-    std::vector<std::function<void()>> points;
-    for (const Knob& k : ks) points.push_back([k] { bw_of(k); });
-    spam::bench::prewarm(points);
-  }
-
-  spam::report::Table tab("Flow-control ablations (1 MB async store)");
-  tab.set_header({"knob", "setting", "bandwidth (MB/s)"});
-  for (const Knob& k : ks) {
-    tab.add_row({k.name, std::to_string(k.setting),
-                 spam::report::fmt(bw_of(k))});
-  }
-  tab.print();
-  std::printf(
-      "\nDesign-choice reading: a one-chunk window stalls the pipeline "
-      "(chunk N needs the\nack of chunk N-2); per-packet doorbells and "
-      "per-packet pops burn a ~1 us\nMicroChannel access each, which is why "
-      "the paper batches both.\n");
+  return spam::bench::run_tables([] {
+    spam::report::Table tab("Flow-control ablations (1 MB async store)");
+    tab.set_header({"knob", "setting", "bandwidth (MB/s)"});
+    for (const Knob& k : knobs()) {
+      tab.add_row({k.name, std::to_string(k.setting),
+                   spam::report::fmt(bw_of(k))});
+    }
+    return tab.render() +
+           "\nDesign-choice reading: a one-chunk window stalls the pipeline "
+           "(chunk N needs the\nack of chunk N-2); per-packet doorbells and "
+           "per-packet pops burn a ~1 us\nMicroChannel access each, which is "
+           "why the paper batches both.\n";
+  });
 }

@@ -27,37 +27,25 @@ const std::size_t kSizes[] = {4096, 8192, 12288, 16384, 24576, 32768, 65536};
 
 int main(int argc, char** argv) {
   spam::bench::harness_init(argc, argv);
-
-  {  // Warm every (prefix, size) point across --jobs threads.
-    std::vector<std::function<void()>> points;
+  return spam::bench::run_tables([] {
+    spam::report::Table tab(
+        "Hybrid-prefix ablation — MPI bandwidth (MB/s) by prefix size");
+    std::vector<std::string> hdr{"bytes"};
     for (std::size_t p : kPrefixes) {
-      for (std::size_t s : kSizes) {
-        points.push_back([p, s] {
-          spam::bench::mpi_bandwidth_mbps(cfg_with_prefix(p), s);
-        });
+      hdr.push_back(p == 0 ? "pure rdv" : std::to_string(p) + "B prefix");
+    }
+    tab.set_header(hdr);
+    for (std::size_t s : kSizes) {
+      std::vector<std::string> row{std::to_string(s)};
+      for (std::size_t p : kPrefixes) {
+        row.push_back(spam::report::fmt(
+            spam::bench::mpi_bandwidth_mbps(cfg_with_prefix(p), s)));
       }
+      tab.add_row(row);
     }
-    spam::bench::prewarm(points);
-  }
-
-  spam::report::Table tab(
-      "Hybrid-prefix ablation — MPI bandwidth (MB/s) by prefix size");
-  std::vector<std::string> hdr{"bytes"};
-  for (std::size_t p : kPrefixes) {
-    hdr.push_back(p == 0 ? "pure rdv" : std::to_string(p) + "B prefix");
-  }
-  tab.set_header(hdr);
-  for (std::size_t s : kSizes) {
-    std::vector<std::string> row{std::to_string(s)};
-    for (std::size_t p : kPrefixes) {
-      row.push_back(spam::report::fmt(
-          spam::bench::mpi_bandwidth_mbps(cfg_with_prefix(p), s)));
-    }
-    tab.add_row(row);
-  }
-  tab.print();
-  std::printf(
-      "\nDesign-choice reading: the prefix keeps the pipe full during the "
-      "rendez-vous\nhandshake; gains should saturate near the paper's 4 KB "
-      "choice.\n");
+    return tab.render() +
+           "\nDesign-choice reading: the prefix keeps the pipe full during "
+           "the rendez-vous\nhandshake; gains should saturate near the "
+           "paper's 4 KB choice.\n";
+  });
 }

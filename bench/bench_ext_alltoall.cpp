@@ -3,7 +3,6 @@
 // (all senders hammer rank 0, then rank 1, ...), while a vendor-style
 // staggered schedule spreads the load.  Measures both on 16 nodes across
 // block sizes, on the same MPI-AM device.
-#include <array>
 #include <vector>
 
 #include "harness.hpp"
@@ -19,7 +18,7 @@ using spam::mpi::MpiWorldConfig;
 /// schedule via tuned_collectives(); MPI-AM uses the naive one and MPI-F
 /// the staggered one.  To isolate the *schedule* (same transport), we run
 /// the staggered schedule by hand over MPI-AM.
-double alltoall_us(bool staggered, std::size_t block, int nodes) {
+double alltoall_us_raw(bool staggered, std::size_t block, int nodes) {
   MpiWorldConfig cfg;
   cfg.impl = MpiImpl::kAmOptimized;
   cfg.nodes = nodes;
@@ -61,42 +60,34 @@ double alltoall_us(bool staggered, std::size_t block, int nodes) {
   return spam::sim::to_usec(elapsed);
 }
 
-const std::size_t kBlocks[] = {256, 1024, 4096, 16384};
+double alltoall_us(bool staggered, std::size_t block, int nodes) {
+  return spam::bench::cached(
+      spam::driver::Hasher("alltoall_us").mix(staggered).mix(block).mix(nodes),
+      [=] { return alltoall_us_raw(staggered, block, nodes); });
+}
 
-// g_us[staggered][block index], filled by the parallel sweep in main().
-std::array<std::array<double, 4>, 2> g_us{};
+const std::size_t kBlocks[] = {256, 1024, 4096, 16384};
 
 }  // namespace
 
 int main(int argc, char** argv) {
   spam::bench::harness_init(argc, argv);
-
-  {  // 2 schedules x 4 block sizes across --jobs threads.
-    std::vector<std::function<void()>> points;
-    for (int st = 0; st < 2; ++st) {
-      for (int b = 0; b < 4; ++b) {
-        points.push_back([st, b] {
-          g_us[st][b] = alltoall_us(st != 0, kBlocks[b], 16);
-        });
-      }
+  return spam::bench::run_tables([] {
+    spam::report::Table tab(
+        "Extension — alltoall schedule, 16 nodes, same MPI-AM transport");
+    tab.set_header({"block bytes", "MPICH naive (us)", "staggered (us)",
+                    "naive / staggered"});
+    for (std::size_t block : kBlocks) {
+      const double naive = alltoall_us(false, block, 16);
+      const double stag = alltoall_us(true, block, 16);
+      tab.add_row({std::to_string(block), spam::report::fmt(naive),
+                   spam::report::fmt(stag),
+                   spam::report::fmt(naive / stag, 2)});
     }
-    spam::bench::prewarm(points);
-  }
-
-  spam::report::Table tab(
-      "Extension — alltoall schedule, 16 nodes, same MPI-AM transport");
-  tab.set_header({"block bytes", "MPICH naive (us)", "staggered (us)",
-                  "naive / staggered"});
-  for (int b = 0; b < 4; ++b) {
-    const double naive = g_us[0][b];
-    const double stag = g_us[1][b];
-    tab.add_row({std::to_string(kBlocks[b]), spam::report::fmt(naive),
-                 spam::report::fmt(stag), spam::report::fmt(naive / stag, 2)});
-  }
-  tab.print();
-  std::printf(
-      "\nReading: the synchronized destination order creates the receiver "
-      "hot spot the\npaper blames for FT's MPICH gap ('all processors try "
-      "to send to the same\nprocessor at the same time, rather than "
-      "spreading out the communication').\n");
+    return tab.render() +
+           "\nReading: the synchronized destination order creates the "
+           "receiver hot spot the\npaper blames for FT's MPICH gap ('all "
+           "processors try to send to the same\nprocessor at the same time, "
+           "rather than spreading out the communication').\n";
+  });
 }

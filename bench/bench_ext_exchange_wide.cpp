@@ -1,7 +1,7 @@
 // Extension: (a) bidirectional *exchange* bandwidth — the companion
 // measurement the paper's TR reports (footnote 3) — and (b) the AM
 // microbenchmark summary on wide nodes (the paper quotes thin nodes only).
-#include <map>
+#include <algorithm>
 #include <vector>
 
 #include "harness.hpp"
@@ -11,8 +11,8 @@ namespace {
 
 /// Both nodes stream `total` bytes at each other simultaneously with
 /// pipelined async stores; reports the per-node send bandwidth.
-double exchange_bandwidth_mbps(std::size_t piece,
-                               spam::sphw::SpParams hw) {
+double exchange_bandwidth_mbps_raw(std::size_t piece,
+                                   spam::sphw::SpParams hw) {
   spam::sim::World world(2);
   spam::sphw::SpMachine machine(world, hw);
   spam::am::AmNet net(machine);
@@ -43,79 +43,54 @@ double exchange_bandwidth_mbps(std::size_t piece,
   return static_cast<double>(total) / secs / 1e6;
 }
 
-// g_exchange[(piece, wide?)], filled by the parallel sweep in main().
-std::map<std::pair<std::size_t, bool>, double> g_exchange;
+double exchange_bandwidth_mbps(std::size_t piece, spam::sphw::SpParams hw) {
+  spam::driver::Hasher h("exchange_bandwidth_mbps");
+  return spam::bench::cached(spam::bench::mix(h.mix(piece), hw), [=] {
+    return exchange_bandwidth_mbps_raw(piece, hw);
+  });
+}
 
 }  // namespace
 
 int main(int argc, char** argv) {
   spam::bench::harness_init(argc, argv);
+  return spam::bench::run_tables([] {
+    using spam::bench::AmBwMode;
+    using spam::report::fmt;
+    const auto thin = spam::sphw::SpParams::thin_node();
+    const auto wide = spam::sphw::SpParams::wide_node();
 
-  const auto thin = spam::sphw::SpParams::thin_node();
-  const auto wide = spam::sphw::SpParams::wide_node();
-
-  {  // Exchange points land in the map; the AM points hit the cache.
-    std::vector<std::function<void()>> points;
+    spam::report::Table ex(
+        "Extension — bidirectional exchange bandwidth per node (MB/s)");
+    ex.set_header({"piece bytes", "one-way (thin)", "exchange (thin)",
+                   "exchange (wide)"});
     for (std::size_t piece : {std::size_t{1024}, std::size_t{8192},
                               std::size_t{65536}}) {
-      g_exchange[{piece, false}] = 0;
-      g_exchange[{piece, true}] = 0;
-      points.push_back([&, piece] {
-        g_exchange[{piece, false}] = exchange_bandwidth_mbps(piece, thin);
-      });
-      points.push_back([&, piece] {
-        g_exchange[{piece, true}] = exchange_bandwidth_mbps(piece, wide);
-      });
-      points.push_back([thin, piece] {
-        spam::bench::am_bandwidth_mbps(
-            spam::bench::AmBwMode::kPipelinedAsyncStore, piece, thin, {});
-      });
+      ex.add_row({std::to_string(piece),
+                  fmt(spam::bench::am_bandwidth_mbps(
+                      AmBwMode::kPipelinedAsyncStore, piece, thin, {})),
+                  fmt(exchange_bandwidth_mbps(piece, thin)),
+                  fmt(exchange_bandwidth_mbps(piece, wide))});
     }
-    for (auto hw : {thin, wide}) {
-      points.push_back([hw] { spam::bench::am_rtt_us(1, hw); });
-      points.push_back([hw] {
-        spam::bench::am_bandwidth_mbps(
-            spam::bench::AmBwMode::kPipelinedAsyncStore, 1 << 20, hw, {});
-      });
-    }
-    spam::bench::prewarm(points);
-  }
 
-  spam::report::Table ex(
-      "Extension — bidirectional exchange bandwidth per node (MB/s)");
-  ex.set_header({"piece bytes", "one-way (thin)", "exchange (thin)",
-                 "exchange (wide)"});
-  for (std::size_t piece : {std::size_t{1024}, std::size_t{8192},
-                            std::size_t{65536}}) {
-    ex.add_row({std::to_string(piece),
-                spam::report::fmt(spam::bench::am_bandwidth_mbps(
-                    spam::bench::AmBwMode::kPipelinedAsyncStore, piece, thin,
-                    {})),
-                spam::report::fmt(g_exchange[{piece, false}]),
-                spam::report::fmt(g_exchange[{piece, true}])});
-  }
-  ex.print();
+    spam::report::Table am(
+        "Extension — AM microbenchmarks, thin vs wide nodes");
+    am.set_header({"metric", "thin", "wide"});
+    am.add_row({"one-word round-trip (us)",
+                fmt(spam::bench::am_rtt_us(1, thin)),
+                fmt(spam::bench::am_rtt_us(1, wide))});
+    am.add_row({"async-store r-inf (MB/s)",
+                fmt(spam::bench::am_bandwidth_mbps(
+                    AmBwMode::kPipelinedAsyncStore, 1 << 20, thin, {})),
+                fmt(spam::bench::am_bandwidth_mbps(
+                    AmBwMode::kPipelinedAsyncStore, 1 << 20, wide, {}))});
 
-  spam::report::Table am(
-      "Extension — AM microbenchmarks, thin vs wide nodes");
-  am.set_header({"metric", "thin", "wide"});
-  am.add_row({"one-word round-trip (us)",
-              spam::report::fmt(spam::bench::am_rtt_us(1, thin)),
-              spam::report::fmt(spam::bench::am_rtt_us(1, wide))});
-  am.add_row({"async-store r-inf (MB/s)",
-              spam::report::fmt(spam::bench::am_bandwidth_mbps(
-                  spam::bench::AmBwMode::kPipelinedAsyncStore, 1 << 20, thin,
-                  {})),
-              spam::report::fmt(spam::bench::am_bandwidth_mbps(
-                  spam::bench::AmBwMode::kPipelinedAsyncStore, 1 << 20, wide,
-                  {}))});
-  am.print();
-
-  std::printf(
-      "\nReading: exchange bandwidth stays near the one-way rate — the "
-      "links are\nfull-duplex and the adapter rx/tx pipelines are "
-      "independent; the receiver's CPU\nbudget (copies + acks) is the "
-      "contended resource.  Wide nodes shave host-side\ncosts, helping "
-      "latency slightly and bandwidth marginally (the link still "
-      "binds).\n");
+    return ex.render() + am.render() +
+           "\nReading: exchange bandwidth stays near the one-way rate — the "
+           "links are\nfull-duplex and the adapter rx/tx pipelines are "
+           "independent; the receiver's CPU\nbudget (copies + acks) is the "
+           "contended resource.  Wide nodes shave host-side\ncosts, helping "
+           "latency slightly and bandwidth marginally (the link still "
+           "binds).\n";
+  });
 }

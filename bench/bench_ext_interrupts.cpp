@@ -3,9 +3,6 @@
 // choice implies: polling gives minimum latency when the receiver is
 // attentive; interrupts bound response time during long computations at a
 // per-message premium.
-#include <array>
-#include <vector>
-
 #include "harness.hpp"
 #include "micro.hpp"
 
@@ -21,7 +18,7 @@ double attentive_rtt_us(bool interrupts) {
 }
 
 /// Mean response time when the responder is busy computing in 5 ms slices.
-double busy_response_us(bool interrupts) {
+double busy_response_us_raw(bool interrupts) {
   AmParams amp;
   amp.interrupt_driven = interrupts;
   spam::sim::World world(2);
@@ -64,33 +61,31 @@ double busy_response_us(bool interrupts) {
   return spam::sim::to_usec(total) / kMsgs;
 }
 
-// g_busy[irq], filled by the parallel sweep in main(); attentive_rtt_us
-// goes through the ResultCache.
-std::array<double, 2> g_busy{};
+double busy_response_us(bool interrupts) {
+  return spam::bench::cached(
+      spam::driver::Hasher("busy_response_us").mix(interrupts),
+      [interrupts] { return busy_response_us_raw(interrupts); });
+}
 
 }  // namespace
 
 int main(int argc, char** argv) {
   spam::bench::harness_init(argc, argv);
-
-  spam::bench::prewarm({[] { attentive_rtt_us(false); },
-                        [] { attentive_rtt_us(true); },
-                        [] { g_busy[0] = busy_response_us(false); },
-                        [] { g_busy[1] = busy_response_us(true); }});
-
-  spam::report::Table tab(
-      "Extension — polling vs interrupt-driven reception");
-  tab.set_header({"scenario", "polling", "interrupt-driven"});
-  tab.add_row({"round-trip, attentive responder (us)",
-               spam::report::fmt(attentive_rtt_us(false)),
-               spam::report::fmt(attentive_rtt_us(true))});
-  tab.add_row({"round-trip, responder computing 5 ms slices (us)",
-               spam::report::fmt(g_busy[0]), spam::report::fmt(g_busy[1])});
-  tab.print();
-  std::printf(
-      "\nReading: with an attentive responder polling wins (no interrupt "
-      "cost on the\ncritical path); when the responder computes, polling "
-      "defers responses to slice\nboundaries while interrupts bound them "
-      "near RTT + interrupt latency — the trade\nthe paper sidesteps by "
-      "polling everywhere.\n");
+  return spam::bench::run_tables([] {
+    spam::report::Table tab(
+        "Extension — polling vs interrupt-driven reception");
+    tab.set_header({"scenario", "polling", "interrupt-driven"});
+    tab.add_row({"round-trip, attentive responder (us)",
+                 spam::report::fmt(attentive_rtt_us(false)),
+                 spam::report::fmt(attentive_rtt_us(true))});
+    tab.add_row({"round-trip, responder computing 5 ms slices (us)",
+                 spam::report::fmt(busy_response_us(false)),
+                 spam::report::fmt(busy_response_us(true))});
+    return tab.render() +
+           "\nReading: with an attentive responder polling wins (no "
+           "interrupt cost on the\ncritical path); when the responder "
+           "computes, polling defers responses to slice\nboundaries while "
+           "interrupts bound them near RTT + interrupt latency — the "
+           "trade\nthe paper sidesteps by polling everywhere.\n";
+  });
 }

@@ -2,99 +2,16 @@
 // wide SP nodes.  MPI-F was tuned on wide nodes, so here it wins on very
 // small messages (< ~100 B) while the optimized MPI-AM takes over above.
 #include "harness.hpp"
-#include "micro.hpp"
-
-namespace {
-
-using spam::mpi::MpiImpl;
-using spam::mpi::MpiWorldConfig;
-
-MpiWorldConfig cfg_of(MpiImpl impl) {
-  MpiWorldConfig cfg;
-  cfg.impl = impl;
-  cfg.hw = spam::sphw::SpParams::wide_node();
-  cfg.nodes = 4;
-  if (impl == MpiImpl::kMpiF) {
-    cfg.f_cfg = spam::mpif::MpiFConfig::wide();
-  }
-  return cfg;
-}
-
-std::vector<std::size_t> latency_sizes() {
-  return {4, 16, 64, 256, 1024, 4096, 8192, 16384, 32768};
-}
-std::vector<std::size_t> bandwidth_sizes() {
-  std::vector<std::size_t> v;
-  for (std::size_t s = 64; s <= (1u << 18); s *= 4) v.push_back(s);
-  v.push_back(1u << 19);
-  return v;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   spam::bench::harness_init(argc, argv);
-
-  const auto hw = spam::sphw::SpParams::wide_node();
-
-  {  // Warm every (curve, size) point across --jobs threads.
-    std::vector<std::function<void()>> points;
-    for (std::size_t s : latency_sizes()) {
-      points.push_back([s, hw] { spam::bench::am_store_hop_latency_us(s, hw); });
-      for (auto impl : {MpiImpl::kAmUnoptimized, MpiImpl::kAmOptimized,
-                        MpiImpl::kMpiF}) {
-        points.push_back([impl, s] {
-          spam::bench::mpi_hop_latency_us(cfg_of(impl), s);
-        });
-      }
-    }
-    for (std::size_t s : bandwidth_sizes()) {
-      points.push_back([s, hw] { spam::bench::am_store_bandwidth_mbps(s, hw); });
-      for (auto impl : {MpiImpl::kAmUnoptimized, MpiImpl::kAmOptimized,
-                        MpiImpl::kMpiF}) {
-        points.push_back([impl, s] {
-          spam::bench::mpi_bandwidth_mbps(cfg_of(impl), s);
-        });
-      }
-    }
-    spam::bench::prewarm(points);
-  }
-
-  spam::report::Table lat(
-      "Figure 10 — MPI per-hop latency on wide nodes (us)");
-  lat.set_header({"bytes", "am_store", "unopt MPI-AM", "opt MPI-AM",
-                  "MPI-F"});
-  for (std::size_t s : latency_sizes()) {
-    lat.add_row(
-        {std::to_string(s),
-         spam::report::fmt(spam::bench::am_store_hop_latency_us(s, hw)),
-         spam::report::fmt(spam::bench::mpi_hop_latency_us(
-             cfg_of(MpiImpl::kAmUnoptimized), s)),
-         spam::report::fmt(spam::bench::mpi_hop_latency_us(
-             cfg_of(MpiImpl::kAmOptimized), s)),
-         spam::report::fmt(spam::bench::mpi_hop_latency_us(
-             cfg_of(MpiImpl::kMpiF), s))});
-  }
-  lat.print();
-
-  spam::report::Table bw(
-      "Figure 11 — MPI point-to-point bandwidth on wide nodes (MB/s)");
-  bw.set_header({"bytes", "am_store", "unopt MPI-AM", "opt MPI-AM", "MPI-F"});
-  for (std::size_t s : bandwidth_sizes()) {
-    bw.add_row(
-        {std::to_string(s),
-         spam::report::fmt(spam::bench::am_store_bandwidth_mbps(s, hw)),
-         spam::report::fmt(spam::bench::mpi_bandwidth_mbps(
-             cfg_of(MpiImpl::kAmUnoptimized), s)),
-         spam::report::fmt(spam::bench::mpi_bandwidth_mbps(
-             cfg_of(MpiImpl::kAmOptimized), s)),
-         spam::report::fmt(spam::bench::mpi_bandwidth_mbps(
-             cfg_of(MpiImpl::kMpiF), s))});
-  }
-  bw.print();
-
-  std::printf(
-      "\nShape checks (paper, wide nodes): MPI-F is faster below ~100 B "
-      "(it was tuned\nhere) but slower for larger messages; the MPI-F 4 KB "
-      "discontinuity persists;\nMPI-AM's hybrid stays smooth.\n");
+  return spam::bench::run_tables([] {
+    return spam::bench::mpi_figures(
+        spam::sphw::SpParams::wide_node(), spam::mpif::MpiFConfig::wide(),
+        "Figure 10 — MPI per-hop latency on wide nodes (us)",
+        "Figure 11 — MPI point-to-point bandwidth on wide nodes (MB/s)",
+        "\nShape checks (paper, wide nodes): MPI-F is faster below ~100 B "
+        "(it was tuned\nhere) but slower for larger messages; the MPI-F 4 KB "
+        "discontinuity persists;\nMPI-AM's hybrid stays smooth.\n");
+  });
 }

@@ -7,14 +7,11 @@
 
 int main(int argc, char** argv) {
   spam::bench::harness_init(argc, argv);
-
-  spam::bench::prewarm(spam::bench::fig3_points(spam::bench::figure3_sizes()));
-
-  // Figure data as a table: size, then the six curves (all cached by now).
-  spam::bench::fig3_table(spam::bench::figure3_sizes()).print();
-
-  std::printf(
-      "\nShape checks (paper): async >= sync below one chunk and equal "
-      "above 8064 B;\nsync get trails sync store at small sizes; all curves "
-      "converge to ~34-35 MB/s.\n");
+  return spam::bench::run_tables([] {
+    // Figure data as a table: size, then the six curves.
+    return spam::bench::fig3_table(spam::bench::figure3_sizes()).render() +
+           "\nShape checks (paper): async >= sync below one chunk and equal "
+           "above 8064 B;\nsync get trails sync store at small sizes; all "
+           "curves converge to ~34-35 MB/s.\n";
+  });
 }

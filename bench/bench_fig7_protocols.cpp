@@ -15,31 +15,16 @@ using spam::mpi::MpiAmConfig;
 using spam::mpi::MpiImpl;
 using spam::mpi::MpiWorldConfig;
 
-MpiWorldConfig force_buffered() {
+/// Optimized MPI-AM with one protocol forced: buffered when `eager_max`
+/// covers the whole sweep (given a 256 KB per-peer buffer), otherwise
+/// rendez-vous or, with `hybrid`, the hybrid path for every message.
+MpiWorldConfig forced(std::size_t eager_max, bool hybrid) {
   MpiWorldConfig cfg;
   cfg.impl = MpiImpl::kAmOptimized;
   cfg.am_cfg = MpiAmConfig::opt();
-  cfg.am_cfg.peer_buffer_bytes = 256 * 1024;
-  cfg.am_cfg.eager_max = 200 * 1024;
-  cfg.am_cfg.hybrid = false;
-  return cfg;
-}
-
-MpiWorldConfig force_rendezvous() {
-  MpiWorldConfig cfg;
-  cfg.impl = MpiImpl::kAmOptimized;
-  cfg.am_cfg = MpiAmConfig::opt();
-  cfg.am_cfg.eager_max = 0;
-  cfg.am_cfg.hybrid = false;
-  return cfg;
-}
-
-MpiWorldConfig force_hybrid() {
-  MpiWorldConfig cfg;
-  cfg.impl = MpiImpl::kAmOptimized;
-  cfg.am_cfg = MpiAmConfig::opt();
-  cfg.am_cfg.eager_max = 0;  // every message takes the hybrid path
-  cfg.am_cfg.hybrid = true;
+  if (eager_max > 0) cfg.am_cfg.peer_buffer_bytes = 256 * 1024;
+  cfg.am_cfg.eager_max = eager_max;
+  cfg.am_cfg.hybrid = hybrid;
   return cfg;
 }
 
@@ -65,42 +50,33 @@ std::vector<double> curve(const MpiWorldConfig& cfg) {
 
 int main(int argc, char** argv) {
   spam::bench::harness_init(argc, argv);
+  return spam::bench::run_tables([] {
+    const auto buffered = curve(forced(200 * 1024, false));
+    const auto rdv = curve(forced(0, false));
+    const auto hybrid = curve(forced(0, true));
 
-  {  // Warm every (protocol, size) point across --jobs threads.
-    std::vector<std::function<void()>> points;
-    for (auto cfg : {force_buffered(), force_rendezvous(), force_hybrid()}) {
-      for (std::size_t s : sizes()) {
-        points.push_back([cfg, s] { spam::bench::mpi_bandwidth_mbps(cfg, s); });
+    spam::report::Table tab(
+        "Figure 7 — buffered vs rendez-vous vs hybrid protocol bandwidth "
+        "(MB/s)");
+    tab.set_header({"bytes", "buffered", "rendez-vous", "hybrid"});
+    const auto sz = sizes();
+    for (std::size_t i = 0; i < sz.size(); ++i) {
+      tab.add_row({std::to_string(sz[i]), spam::report::fmt(buffered[i]),
+                   spam::report::fmt(rdv[i]), spam::report::fmt(hybrid[i])});
+    }
+
+    // Shape check: the hybrid curve should match or beat both pure
+    // protocols in the 4-32 KB switch region.
+    int wins = 0, pts = 0;
+    for (std::size_t i = 0; i < sz.size(); ++i) {
+      if (sz[i] < 4096 || sz[i] > 32768) continue;
+      ++pts;
+      if (hybrid[i] + 0.5 >= std::min(buffered[i], rdv[i])) {
+        ++wins;
       }
     }
-    spam::bench::prewarm(points);
-  }
-
-  const auto buffered = curve(force_buffered());
-  const auto rdv = curve(force_rendezvous());
-  const auto hybrid = curve(force_hybrid());
-
-  spam::report::Table tab(
-      "Figure 7 — buffered vs rendez-vous vs hybrid protocol bandwidth "
-      "(MB/s)");
-  tab.set_header({"bytes", "buffered", "rendez-vous", "hybrid"});
-  const auto sz = sizes();
-  for (std::size_t i = 0; i < sz.size(); ++i) {
-    tab.add_row({std::to_string(sz[i]), spam::report::fmt(buffered[i]),
-                 spam::report::fmt(rdv[i]), spam::report::fmt(hybrid[i])});
-  }
-  tab.print();
-
-  // Shape check: the hybrid curve should match or beat both pure protocols
-  // in the 4-32 KB switch region.
-  int wins = 0, pts = 0;
-  for (std::size_t i = 0; i < sz.size(); ++i) {
-    if (sz[i] < 4096 || sz[i] > 32768) continue;
-    ++pts;
-    if (hybrid[i] + 0.5 >= std::min(buffered[i], rdv[i])) {
-      ++wins;
-    }
-  }
-  std::printf("\nHybrid >= min(buffered, rendez-vous) on %d/%d points in the "
-              "switch region.\n", wins, pts);
+    return tab.render() + "\nHybrid >= min(buffered, rendez-vous) on " +
+           std::to_string(wins) + "/" + std::to_string(pts) +
+           " points in the switch region.\n";
+  });
 }

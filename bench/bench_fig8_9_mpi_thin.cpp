@@ -2,100 +2,17 @@
 // (4-node ring) and bandwidth on thin SP nodes, four curves each:
 // raw am_store, unoptimized MPI-AM, optimized MPI-AM, and MPI-F.
 #include "harness.hpp"
-#include "micro.hpp"
-
-namespace {
-
-using spam::mpi::MpiImpl;
-using spam::mpi::MpiWorldConfig;
-
-MpiWorldConfig cfg_of(MpiImpl impl, spam::sphw::SpParams hw) {
-  MpiWorldConfig cfg;
-  cfg.impl = impl;
-  cfg.hw = hw;
-  cfg.nodes = 4;
-  if (impl == MpiImpl::kMpiF) {
-    cfg.f_cfg = spam::mpif::MpiFConfig::thin();
-  }
-  return cfg;
-}
-
-std::vector<std::size_t> latency_sizes() {
-  return {4, 16, 64, 256, 1024, 4096, 8192, 16384, 32768};
-}
-std::vector<std::size_t> bandwidth_sizes() {
-  std::vector<std::size_t> v;
-  for (std::size_t s = 64; s <= (1u << 18); s *= 4) v.push_back(s);
-  v.push_back(1u << 19);
-  return v;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   spam::bench::harness_init(argc, argv);
-
-  const auto hw = spam::sphw::SpParams::thin_node();
-
-  {  // Warm every (curve, size) point across --jobs threads.
-    std::vector<std::function<void()>> points;
-    for (std::size_t s : latency_sizes()) {
-      points.push_back([s, hw] { spam::bench::am_store_hop_latency_us(s, hw); });
-      for (auto impl : {MpiImpl::kAmUnoptimized, MpiImpl::kAmOptimized,
-                        MpiImpl::kMpiF}) {
-        points.push_back([impl, hw, s] {
-          spam::bench::mpi_hop_latency_us(cfg_of(impl, hw), s);
-        });
-      }
-    }
-    for (std::size_t s : bandwidth_sizes()) {
-      points.push_back([s, hw] { spam::bench::am_store_bandwidth_mbps(s, hw); });
-      for (auto impl : {MpiImpl::kAmUnoptimized, MpiImpl::kAmOptimized,
-                        MpiImpl::kMpiF}) {
-        points.push_back([impl, hw, s] {
-          spam::bench::mpi_bandwidth_mbps(cfg_of(impl, hw), s);
-        });
-      }
-    }
-    spam::bench::prewarm(points);
-  }
-
-  spam::report::Table lat(
-      "Figure 8 — MPI per-hop latency on thin nodes (us)");
-  lat.set_header({"bytes", "am_store", "unopt MPI-AM", "opt MPI-AM",
-                  "MPI-F"});
-  for (std::size_t s : latency_sizes()) {
-    lat.add_row(
-        {std::to_string(s),
-         spam::report::fmt(spam::bench::am_store_hop_latency_us(s, hw)),
-         spam::report::fmt(spam::bench::mpi_hop_latency_us(
-             cfg_of(MpiImpl::kAmUnoptimized, hw), s)),
-         spam::report::fmt(spam::bench::mpi_hop_latency_us(
-             cfg_of(MpiImpl::kAmOptimized, hw), s)),
-         spam::report::fmt(spam::bench::mpi_hop_latency_us(
-             cfg_of(MpiImpl::kMpiF, hw), s))});
-  }
-  lat.print();
-
-  spam::report::Table bw(
-      "Figure 9 — MPI point-to-point bandwidth on thin nodes (MB/s)");
-  bw.set_header({"bytes", "am_store", "unopt MPI-AM", "opt MPI-AM", "MPI-F"});
-  for (std::size_t s : bandwidth_sizes()) {
-    bw.add_row(
-        {std::to_string(s),
-         spam::report::fmt(spam::bench::am_store_bandwidth_mbps(s, hw)),
-         spam::report::fmt(spam::bench::mpi_bandwidth_mbps(
-             cfg_of(MpiImpl::kAmUnoptimized, hw), s)),
-         spam::report::fmt(spam::bench::mpi_bandwidth_mbps(
-             cfg_of(MpiImpl::kAmOptimized, hw), s)),
-         spam::report::fmt(spam::bench::mpi_bandwidth_mbps(
-             cfg_of(MpiImpl::kMpiF, hw), s))});
-  }
-  bw.print();
-
-  std::printf(
-      "\nShape checks (paper, thin nodes): optimized MPI-AM achieves lower "
-      "small-message\nlatency than MPI-F and beats it by 10-30%% at 8-20 KB; "
-      "MPI-F dips after its 4 KB\nprotocol switch; all ride below the raw "
-      "am_store curve.\n");
+  return spam::bench::run_tables([] {
+    return spam::bench::mpi_figures(
+        spam::sphw::SpParams::thin_node(), spam::mpif::MpiFConfig::thin(),
+        "Figure 8 — MPI per-hop latency on thin nodes (us)",
+        "Figure 9 — MPI point-to-point bandwidth on thin nodes (MB/s)",
+        "\nShape checks (paper, thin nodes): optimized MPI-AM achieves lower "
+        "small-message\nlatency than MPI-F and beats it by 10-30% at 8-20 KB; "
+        "MPI-F dips after its 4 KB\nprotocol switch; all ride below the raw "
+        "am_store curve.\n");
+  });
 }

@@ -2,8 +2,6 @@
 // Meiko CS-2, U-Net/ATM cluster, and IBM SP — message overhead, round-trip
 // latency, and per-node bandwidth, measured on the respective machine
 // models.
-#include <array>
-
 #include "driver/sweep.hpp"
 #include "harness.hpp"
 #include "logp/loggp.hpp"
@@ -54,6 +52,14 @@ double loggp_bw_mbps(const LogGpParams& params) {
   return static_cast<double>(len) / spam::sim::to_sec(elapsed) / 1e6;
 }
 
+/// A LogGP measurement's cache key: its name, then every parameter.
+spam::driver::Hasher loggp_key(const char* what, const LogGpParams& p) {
+  spam::driver::Hasher h(what);
+  h.mix(p.o_send_us).mix(p.o_recv_us).mix(p.latency_us).mix(p.gap_us);
+  h.mix(p.gap_per_byte_us).mix(p.cpu_scale).mix(p.poll_us);
+  return h;
+}
+
 struct Row {
   const char* machine;
   const char* cpu;
@@ -62,64 +68,51 @@ struct Row {
   double paper_bw;
 };
 
-// Filled by the parallel sweep in main().
-std::array<double, 3> g_rtt{};
-std::array<double, 3> g_bw{};
-
 }  // namespace
 
 int main(int argc, char** argv) {
   spam::bench::harness_init(argc, argv);
+  return spam::bench::run_tables([] {
+    using spam::bench::cached;
+    using spam::report::fmt;
 
-  const LogGpParams presets[] = {LogGpParams::cm5(), LogGpParams::meiko_cs2(),
-                                 LogGpParams::unet_atm()};
+    const LogGpParams presets[] = {LogGpParams::cm5(),
+                                   LogGpParams::meiko_cs2(),
+                                   LogGpParams::unet_atm()};
+    const Row rows[] = {
+        {"TMC CM-5", "33 MHz Sparc-2", 3.0, 12.0, 10.0},
+        {"Meiko CS-2", "40 MHz SuperSparc", 11.0, 25.0, 39.0},
+        {"U-Net/ATM", "50/60 MHz Sparc-20", 3.0, 66.0, 14.0},
+    };
 
-  // LogGP points land in fixed slots; SP AM points go through the cache.
-  std::vector<std::function<void()>> points;
-  for (int i = 0; i < 3; ++i) {
-    points.push_back([&, i] { g_rtt[i] = loggp_rtt_us(presets[i]); });
-    points.push_back([&, i] { g_bw[i] = loggp_bw_mbps(presets[i]); });
-  }
-  points.push_back([] { spam::bench::am_request_cost_us(1); });
-  points.push_back([] { spam::bench::am_poll_empty_us(); });
-  points.push_back([] { spam::bench::am_reply_cost_us(1); });
-  points.push_back([] { spam::bench::am_rtt_us(1); });
-  points.push_back([] {
-    spam::bench::am_bandwidth_mbps(spam::bench::AmBwMode::kPipelinedAsyncStore,
-                                   1 << 20);
+    spam::report::Table tab(
+        "Table 4 — machine communication characteristics (paper / "
+        "measured)");
+    tab.set_header({"machine", "CPU", "overhead (us)", "round-trip (us)",
+                    "bandwidth (MB/s)"});
+    for (int i = 0; i < 3; ++i) {
+      const LogGpParams& p = presets[i];
+      const double rtt = cached(loggp_key("loggp_rtt_us", p),
+                                [p] { return loggp_rtt_us(p); });
+      const double bw = cached(loggp_key("loggp_bw_mbps", p),
+                               [p] { return loggp_bw_mbps(p); });
+      tab.add_row({rows[i].machine, rows[i].cpu,
+                   fmt(rows[i].paper_overhead_us) + " / " +
+                       fmt(p.o_send_us + p.o_recv_us),
+                   fmt(rows[i].paper_rtt_us) + " / " + fmt(rtt),
+                   fmt(rows[i].paper_bw) + " / " + fmt(bw)});
+    }
+    // The SP row uses the detailed TB2 model, not LogGP.
+    const double sp_overhead = spam::bench::am_request_cost_us(1) -
+                               spam::bench::am_poll_empty_us() +
+                               spam::bench::am_reply_cost_us(1);
+    tab.add_row({"IBM SP (SP AM)", "66 MHz Power2",
+                 fmt(3.0 + 1.4, 1) + "-ish / " + fmt(sp_overhead),
+                 fmt(51.0) + " / " + fmt(spam::bench::am_rtt_us(1)),
+                 fmt(34.0) + " / " +
+                     fmt(spam::bench::am_bandwidth_mbps(
+                         spam::bench::AmBwMode::kPipelinedAsyncStore,
+                         1 << 20))});
+    return tab.render();
   });
-  spam::bench::prewarm(points);
-
-  using spam::report::fmt;
-
-  const Row rows[] = {
-      {"TMC CM-5", "33 MHz Sparc-2", 3.0, 12.0, 10.0},
-      {"Meiko CS-2", "40 MHz SuperSparc", 11.0, 25.0, 39.0},
-      {"U-Net/ATM", "50/60 MHz Sparc-20", 3.0, 66.0, 14.0},
-  };
-
-  spam::report::Table tab(
-      "Table 4 — machine communication characteristics (paper / measured)");
-  tab.set_header({"machine", "CPU", "overhead (us)", "round-trip (us)",
-                  "bandwidth (MB/s)"});
-  for (int i = 0; i < 3; ++i) {
-    const auto& p = presets[i];
-    tab.add_row({rows[i].machine, rows[i].cpu,
-                 fmt(rows[i].paper_overhead_us) + " / " +
-                     fmt(p.o_send_us + p.o_recv_us),
-                 fmt(rows[i].paper_rtt_us) + " / " + fmt(g_rtt[i]),
-                 fmt(rows[i].paper_bw) + " / " + fmt(g_bw[i])});
-  }
-  // The SP row uses the detailed TB2 model, not LogGP.
-  const double sp_overhead = spam::bench::am_request_cost_us(1) -
-                             spam::bench::am_poll_empty_us() +
-                             spam::bench::am_reply_cost_us(1);
-  tab.add_row({"IBM SP (SP AM)", "66 MHz Power2",
-               fmt(3.0 + 1.4, 1) + "-ish / " + fmt(sp_overhead),
-               fmt(51.0) + " / " + fmt(spam::bench::am_rtt_us(1)),
-               fmt(34.0) + " / " +
-                   fmt(spam::bench::am_bandwidth_mbps(
-                       spam::bench::AmBwMode::kPipelinedAsyncStore,
-                       1 << 20))});
-  tab.print();
 }

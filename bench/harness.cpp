@@ -49,23 +49,32 @@ void harness_init(int argc, char** argv) {
 
 int jobs() { return g_jobs; }
 
-void prewarm(const std::vector<std::function<void()>>& points) {
-  driver::SweepRunner(g_jobs).run(points);
+Regeneration regenerate(const std::function<std::string()>& tables,
+                        int jobs) {
+  const std::vector<RecordedPoint> points =
+      record_points([&] { tables(); });
+  driver::ResultCache& cache = driver::ResultCache::instance();
+  driver::SweepRunner(jobs).run_indexed(points.size(), [&](std::size_t i) {
+    cache.memoize(points[i].key, points[i].compute);
+  });
+  const std::uint64_t before = cache.stats().misses;
+  Regeneration r;
+  r.text = tables();
+  r.print_misses = cache.stats().misses - before;
+  return r;
 }
 
-std::vector<std::function<void()>> fig3_points(
-    const std::vector<std::size_t>& sizes) {
-  std::vector<std::function<void()>> pts;
-  pts.reserve(sizes.size() * 6);
-  for (std::size_t s : sizes) {
-    pts.push_back([s] { am_bandwidth_mbps(AmBwMode::kSyncStore, s); });
-    pts.push_back([s] { am_bandwidth_mbps(AmBwMode::kSyncGet, s); });
-    pts.push_back([s] { mpl_bandwidth_mbps(MplBwMode::kBlocking, s); });
-    pts.push_back([s] { am_bandwidth_mbps(AmBwMode::kPipelinedAsyncStore, s); });
-    pts.push_back([s] { am_bandwidth_mbps(AmBwMode::kPipelinedAsyncGet, s); });
-    pts.push_back([s] { mpl_bandwidth_mbps(MplBwMode::kPipelined, s); });
+int run_tables(const std::function<std::string()>& tables) {
+  const Regeneration r = regenerate(tables, g_jobs);
+  if (r.print_misses != 0) {
+    std::fprintf(stderr,
+                 "print pass missed the cache %llu time(s): the table code "
+                 "read points its record pass did not\n",
+                 static_cast<unsigned long long>(r.print_misses));
+    return 1;
   }
-  return pts;
+  std::fwrite(r.text.data(), 1, r.text.size(), stdout);
+  return 0;
 }
 
 report::Table fig3_table(const std::vector<std::size_t>& sizes) {
@@ -84,6 +93,49 @@ report::Table fig3_table(const std::vector<std::size_t>& sizes) {
                  report::fmt(mpl_bandwidth_mbps(MplBwMode::kPipelined, s))});
   }
   return tab;
+}
+
+std::string mpi_figures(const sphw::SpParams& hw,
+                        const mpif::MpiFConfig& f_cfg,
+                        const std::string& latency_title,
+                        const std::string& bandwidth_title,
+                        const std::string& note) {
+  using mpi::MpiImpl;
+  auto cfg_of = [&](MpiImpl impl) {
+    mpi::MpiWorldConfig cfg;
+    cfg.impl = impl;
+    cfg.hw = hw;
+    cfg.nodes = 4;
+    if (impl == MpiImpl::kMpiF) cfg.f_cfg = f_cfg;
+    return cfg;
+  };
+  // One table: size, am_store, then the three MPI curves.
+  auto table = [&](const std::string& title,
+                   const std::vector<std::size_t>& sizes, auto am_store,
+                   auto mpi) {
+    report::Table tab(title);
+    tab.set_header({"bytes", "am_store", "unopt MPI-AM", "opt MPI-AM",
+                    "MPI-F"});
+    for (std::size_t s : sizes) {
+      std::vector<std::string> row = {std::to_string(s),
+                                      report::fmt(am_store(s, hw))};
+      for (MpiImpl impl : {MpiImpl::kAmUnoptimized, MpiImpl::kAmOptimized,
+                           MpiImpl::kMpiF}) {
+        row.push_back(report::fmt(mpi(cfg_of(impl), s)));
+      }
+      tab.add_row(row);
+    }
+    return tab.render();
+  };
+  std::vector<std::size_t> bw_sizes;
+  for (std::size_t s = 64; s <= (1u << 18); s *= 4) bw_sizes.push_back(s);
+  bw_sizes.push_back(1u << 19);
+  return table(latency_title,
+               {4, 16, 64, 256, 1024, 4096, 8192, 16384, 32768},
+               am_store_hop_latency_us, mpi_hop_latency_us) +
+         table(bandwidth_title, bw_sizes, am_store_bandwidth_mbps,
+               mpi_bandwidth_mbps) +
+         note;
 }
 
 AllocCounters AllocCounters::sample(const sim::Engine& engine) {

@@ -1,55 +1,77 @@
 // Shared argv / parallel-sweep plumbing for the bench binaries.
 //
-// Every bench main follows the same shape:
+// Every scalar bench main follows the same shape:
 //
 //   int main(int argc, char** argv) {
 //     spam::bench::harness_init(argc, argv);    // --jobs; exits 2 on others
-//     spam::bench::prewarm(points);             // parallel, fills ResultCache
-//     ... build report tables, print() each ...
+//     return spam::bench::run_tables([] { ... return the tables' text; });
 //   }
 //
-// prewarm() runs the measurement closures across --jobs host threads via
-// driver::SweepRunner; each closure constructs and runs its own
-// shared-nothing sim::World and stores its scalar into the process-wide
-// driver::ResultCache.  The table builders then read cached values, so the
-// printed bytes are identical for any --jobs setting — parallelism only
-// moves the compute, never the aggregation order.  tests/golden/<bench>.txt
-// pins those bytes.
+// The table function is the only list of the bench's points; run_tables()
+// calls it twice.  The record pass computes nothing: each cached() miss
+// (bench/micro.hpp) is recorded and reads a placeholder, and the text is
+// dropped.  The recorded points then run across --jobs host threads on
+// driver::SweepRunner, each in its own shared-nothing sim::World, filling
+// the process-wide driver::ResultCache.  The print pass runs the table
+// function again and prints its text; a cache miss there means the passes
+// read different points, and the bench exits 1.  The printed bytes are
+// identical for any --jobs setting (tests/golden/<bench>.txt pins them).
+// Table 5 and Table 6, whose points are structs, run their own sweep.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
+#include "mpif/mpif.hpp"
 #include "report/report.hpp"
 #include "sim/engine.hpp"
+#include "sphw/params.hpp"
 
 namespace spam::bench {
 
-/// Parses argv: only `--jobs N` or `--jobs=N` (host threads for prewarm
-/// sweeps, N >= 0).  Anything else — an unknown argument, a missing,
-/// non-numeric or negative N — prints usage and exits 2.
+/// Parses argv: only `--jobs N` or `--jobs=N` (host threads for the
+/// parallel phase, N >= 0).  Anything else — an unknown argument, a
+/// missing, non-numeric or negative N — prints usage and exits 2.
 void harness_init(int argc, char** argv);
 
 /// The --jobs value; <= 0 selects hardware_concurrency.
 int jobs();
 
-/// Runs every closure across jobs() threads (SweepRunner); returns when all
-/// have completed.  Closures must be independent (one World per thread —
-/// see docs/simulator.md).
-void prewarm(const std::vector<std::function<void()>>& points);
+/// What the record → parallel → print entry produced.
+struct Regeneration {
+  std::string text;                // the print pass's text
+  std::uint64_t print_misses = 0;  // cache misses during the print pass
+};
 
-// --- Figure 3 shared sweep --------------------------------------------------
+/// Record pass, parallel phase on `jobs` threads, print pass (see above).
+Regeneration regenerate(const std::function<std::string()>& tables,
+                        int jobs);
+
+/// regenerate() at --jobs for a bench main: writes the text to stdout and
+/// returns 0, or reports the print pass's miss count and returns 1.
+int run_tables(const std::function<std::string()>& tables);
+
+// --- Figure 3 ---------------------------------------------------------------
 // Used by bench_fig3_bandwidth, tools/spamsim, and the serial-vs-parallel
 // determinism test (SweepDeterminism.*), so all three agree on the bytes.
 
-/// One closure per (curve, size) point; running them fills the ResultCache.
-std::vector<std::function<void()>> fig3_points(
-    const std::vector<std::size_t>& sizes);
-
-/// The rendered Figure 3 table for `sizes` (reads cached points when warm).
+/// The rendered Figure 3 table for `sizes`: six curves per size.
 report::Table fig3_table(const std::vector<std::size_t>& sizes);
+
+// --- Figures 8-11 -----------------------------------------------------------
+
+/// The MPI per-hop latency (4-node ring) and point-to-point bandwidth
+/// tables, four curves each — raw am_store, unoptimized MPI-AM, optimized
+/// MPI-AM and MPI-F (configured by `f_cfg`) — on `hw` nodes, followed by
+/// `note`.
+std::string mpi_figures(const sphw::SpParams& hw,
+                        const mpif::MpiFConfig& f_cfg,
+                        const std::string& latency_title,
+                        const std::string& bandwidth_title,
+                        const std::string& note);
 
 // --- Steady-state allocation -----------------------------------------------
 

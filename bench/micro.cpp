@@ -1,7 +1,8 @@
 #include "micro.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <unordered_set>
+#include <utility>
 
 #include "driver/sweep.hpp"
 
@@ -21,6 +22,12 @@ std::vector<std::byte> filled(std::size_t n) {
   return std::vector<std::byte>(n, std::byte{0x5a});
 }
 
+// The arguments of an N-word request are the first N of these.
+constexpr am::Word kArgs[] = {1, 2, 3, 4};
+
+/// Out-of-range word counts send the full four words.
+int clamp_words(int words) { return words >= 1 && words <= 3 ? words : 4; }
+
 }  // namespace
 
 static double am_rtt_us_raw(int words, sphw::SpParams hw, am::AmParams amp) {
@@ -32,21 +39,13 @@ static double am_rtt_us_raw(int words, sphw::SpParams hw, am::AmParams amp) {
       [&](am::Endpoint&, am::Token, const am::Word*, int) { ++pongs; });
   const int h_ping = e1.register_handler(
       [&, h_pong](am::Endpoint& ep, am::Token t, const am::Word* a, int n) {
-        if (n == 1) ep.reply_1(t, h_pong, a[0]);
-        else if (n == 2) ep.reply_2(t, h_pong, a[0], a[1]);
-        else if (n == 3) ep.reply_3(t, h_pong, a[0], a[1], a[2]);
-        else ep.reply_4(t, h_pong, a[0], a[1], a[2], a[3]);
+        ep.reply(t, h_pong, a, n);
       });
 
   sim::Time total = 0;
   constexpr int kWarm = 4, kIters = 32;
   f.world.spawn(0, [&](sim::NodeCtx& ctx) {
-    auto fire = [&] {
-      if (words == 1) e0.request_1(1, h_ping, 1);
-      else if (words == 2) e0.request_2(1, h_ping, 1, 2);
-      else if (words == 3) e0.request_3(1, h_ping, 1, 2, 3);
-      else e0.request_4(1, h_ping, 1, 2, 3, 4);
-    };
+    auto fire = [&] { e0.request(1, h_ping, kArgs, clamp_words(words)); };
     for (int i = 0; i < kWarm; ++i) {
       const int want = pongs + 1;
       fire();
@@ -123,10 +122,7 @@ static double am_request_cost_us_raw(int words, sphw::SpParams hw) {
   sim::Time req_cost = 0;
   f.world.spawn(0, [&](sim::NodeCtx& ctx) {
     const sim::Time t0 = ctx.now();
-    if (words == 1) e0.request_1(1, h_serve, 1);
-    else if (words == 2) e0.request_2(1, h_serve, 1, 2);
-    else if (words == 3) e0.request_3(1, h_serve, 1, 2, 3);
-    else e0.request_4(1, h_serve, 1, 2, 3, 4);
+    e0.request(1, h_serve, kArgs, clamp_words(words));
     req_cost = ctx.now() - t0;
     e0.poll_until([&] { return served >= 1; });
   });
@@ -149,18 +145,12 @@ static double am_reply_cost_us_raw(int words, sphw::SpParams hw) {
   const int h_serve = e1.register_handler(
       [&, h_pong](am::Endpoint& ep, am::Token t, const am::Word* a, int n) {
         const sim::Time t0 = ep.ctx().now();
-        if (n == 1) ep.reply_1(t, h_pong, a[0]);
-        else if (n == 2) ep.reply_2(t, h_pong, a[0], a[1]);
-        else if (n == 3) ep.reply_3(t, h_pong, a[0], a[1], a[2]);
-        else ep.reply_4(t, h_pong, a[0], a[1], a[2], a[3]);
+        ep.reply(t, h_pong, a, n);
         reply_cost = ep.ctx().now() - t0;
       });
 
   f.world.spawn(0, [&](sim::NodeCtx&) {
-    if (words == 1) e0.request_1(1, h_serve, 1);
-    else if (words == 2) e0.request_2(1, h_serve, 1, 2);
-    else if (words == 3) e0.request_3(1, h_serve, 1, 2, 3);
-    else e0.request_4(1, h_serve, 1, 2, 3, 4);
+    e0.request(1, h_serve, kArgs, clamp_words(words));
     e0.poll_until([&] { return ponged; });
   });
   f.world.spawn(1, [&](sim::NodeCtx&) {
@@ -443,12 +433,12 @@ double am_store_bandwidth_mbps(std::size_t bytes, sphw::SpParams hw) {
 
 // --- Memoized public entry points -------------------------------------------
 // Each measurement is keyed on (bench id, every parameter field, size/mode)
-// and computed at most once per invocation via driver::ResultCache.  The
-// prewarm sweep (bench/harness.hpp) fills the cache across host threads;
-// the table builders then read it.  Params are mixed field-by-field so
-// padding bytes never reach the key.
-
-namespace {
+// and goes through cached(), so within one invocation it is computed at
+// most once via driver::ResultCache.  A bench's record pass
+// (bench/harness.hpp) collects the misses, one parallel phase computes
+// them, and the print pass reads them back.  Params are mixed
+// field-by-field so padding bytes never reach the key.  The compute
+// closures capture by value: a recorded closure outlives the call.
 
 using driver::Hasher;
 
@@ -472,6 +462,8 @@ Hasher& mix(Hasher& h, const sphw::SpParams& p) {
       .mix(p.network_fastpath)
       .mix(p.local_clock);
 }
+
+namespace {
 
 Hasher& mix(Hasher& h, const am::AmParams& p) {
   return h.mix(p.request_window_packets)
@@ -524,6 +516,16 @@ Hasher& mix(Hasher& h, const mpif::MpiFConfig& p) {
   return h.mix(p.tuned_collectives);
 }
 
+/// The record pass running on this thread, if any.  Thread-local, so the
+/// parallel phase's workers (and every other caller) compute as usual.
+struct Recording {
+  std::vector<RecordedPoint> points;
+  std::unordered_set<std::uint64_t> seen;
+};
+thread_local Recording* t_recording = nullptr;
+
+}  // namespace
+
 Hasher& mix(Hasher& h, const mpi::MpiWorldConfig& p) {
   h.mix(p.nodes).mix(p.impl).mix(p.seed);
   mix(h, p.hw);
@@ -532,59 +534,74 @@ Hasher& mix(Hasher& h, const mpi::MpiWorldConfig& p) {
   return mix(h, p.f_cfg);
 }
 
-double cached(const Hasher& h, const std::function<double()>& compute) {
-  return driver::ResultCache::instance().memoize(h.digest(), compute);
+double cached(const Hasher& key, std::function<double()> compute) {
+  driver::ResultCache& cache = driver::ResultCache::instance();
+  if (t_recording == nullptr) return cache.memoize(key.digest(), compute);
+  double v = 0;
+  if (cache.lookup(key.digest(), &v)) return v;
+  if (t_recording->seen.insert(key.digest()).second) {
+    t_recording->points.push_back({key.digest(), std::move(compute)});
+  }
+  return kRecordPlaceholder;
 }
 
-}  // namespace
+std::vector<RecordedPoint> record_points(const std::function<void()>& fn) {
+  Recording rec;
+  t_recording = &rec;
+  struct Reset {
+    ~Reset() { t_recording = nullptr; }
+  } reset;
+  fn();
+  return std::move(rec.points);
+}
 
 double am_rtt_us(int words, sphw::SpParams hw, am::AmParams amp) {
   Hasher h("am_rtt_us");
   mix(mix(h.mix(words), hw), amp);
-  return cached(h, [&] { return am_rtt_us_raw(words, hw, amp); });
+  return cached(h, [=] { return am_rtt_us_raw(words, hw, amp); });
 }
 
 double raw_rtt_us(sphw::SpParams hw) {
   Hasher h("raw_rtt_us");
   mix(h, hw);
-  return cached(h, [&] { return raw_rtt_us_raw(hw); });
+  return cached(h, [=] { return raw_rtt_us_raw(hw); });
 }
 
 double am_request_cost_us(int words, sphw::SpParams hw) {
   Hasher h("am_request_cost_us");
   mix(h.mix(words), hw);
-  return cached(h, [&] { return am_request_cost_us_raw(words, hw); });
+  return cached(h, [=] { return am_request_cost_us_raw(words, hw); });
 }
 
 double am_reply_cost_us(int words, sphw::SpParams hw) {
   Hasher h("am_reply_cost_us");
   mix(h.mix(words), hw);
-  return cached(h, [&] { return am_reply_cost_us_raw(words, hw); });
+  return cached(h, [=] { return am_reply_cost_us_raw(words, hw); });
 }
 
 double am_poll_empty_us(sphw::SpParams hw) {
   Hasher h("am_poll_empty_us");
   mix(h, hw);
-  return cached(h, [&] { return am_poll_empty_us_raw(hw); });
+  return cached(h, [=] { return am_poll_empty_us_raw(hw); });
 }
 
 double am_poll_per_msg_us(sphw::SpParams hw) {
   Hasher h("am_poll_per_msg_us");
   mix(h, hw);
-  return cached(h, [&] { return am_poll_per_msg_us_raw(hw); });
+  return cached(h, [=] { return am_poll_per_msg_us_raw(hw); });
 }
 
 double am_bandwidth_mbps(AmBwMode mode, std::size_t bytes, sphw::SpParams hw,
                          am::AmParams amp) {
   Hasher h("am_bandwidth_mbps");
   mix(mix(h.mix(mode).mix(bytes), hw), amp);
-  return cached(h, [&] { return am_bandwidth_mbps_raw(mode, bytes, hw, amp); });
+  return cached(h, [=] { return am_bandwidth_mbps_raw(mode, bytes, hw, amp); });
 }
 
 double mpl_rtt_us(sphw::SpParams hw, mpl::MplParams mp) {
   Hasher h("mpl_rtt_us");
   mix(mix(h, hw), mp);
-  return cached(h, [&] { return mpl_rtt_us_raw(hw, mp); });
+  return cached(h, [=] { return mpl_rtt_us_raw(hw, mp); });
 }
 
 double mpl_bandwidth_mbps(MplBwMode mode, std::size_t bytes,
@@ -592,25 +609,25 @@ double mpl_bandwidth_mbps(MplBwMode mode, std::size_t bytes,
   Hasher h("mpl_bandwidth_mbps");
   mix(mix(h.mix(mode).mix(bytes), hw), mp);
   return cached(h,
-                [&] { return mpl_bandwidth_mbps_raw(mode, bytes, hw, mp); });
+                [=] { return mpl_bandwidth_mbps_raw(mode, bytes, hw, mp); });
 }
 
 double mpi_hop_latency_us(const mpi::MpiWorldConfig& cfg, std::size_t bytes) {
   Hasher h("mpi_hop_latency_us");
   mix(h.mix(bytes), cfg);
-  return cached(h, [&] { return mpi_hop_latency_us_raw(cfg, bytes); });
+  return cached(h, [=] { return mpi_hop_latency_us_raw(cfg, bytes); });
 }
 
 double mpi_bandwidth_mbps(const mpi::MpiWorldConfig& cfg, std::size_t bytes) {
   Hasher h("mpi_bandwidth_mbps");
   mix(h.mix(bytes), cfg);
-  return cached(h, [&] { return mpi_bandwidth_mbps_raw(cfg, bytes); });
+  return cached(h, [=] { return mpi_bandwidth_mbps_raw(cfg, bytes); });
 }
 
 double am_store_hop_latency_us(std::size_t bytes, sphw::SpParams hw) {
   Hasher h("am_store_hop_latency_us");
   mix(h.mix(bytes), hw);
-  return cached(h, [&] { return am_store_hop_latency_us_raw(bytes, hw); });
+  return cached(h, [=] { return am_store_hop_latency_us_raw(bytes, hw); });
 }
 
 }  // namespace spam::bench

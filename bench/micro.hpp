@@ -5,9 +5,12 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "am/net.hpp"
+#include "driver/sweep.hpp"
 #include "mpif/mpi_world.hpp"
 #include "mpl/mpl.hpp"
 #include "report/report.hpp"
@@ -74,5 +77,34 @@ double mpi_bandwidth_mbps(const mpi::MpiWorldConfig& cfg, std::size_t bytes);
 /// Raw am_store reference curve used in the MPI figures.
 double am_store_hop_latency_us(std::size_t bytes, sphw::SpParams hw);
 double am_store_bandwidth_mbps(std::size_t bytes, sphw::SpParams hw);
+
+// --- Memoization -------------------------------------------------------------
+
+/// The one funnel every entry point above goes through: the ResultCache
+/// value under `key`, computed by `compute` on a miss.  A bench that
+/// measures something of its own keys it the same way (a Hasher named
+/// after the measurement, then every parameter), so its points join the
+/// same parallel phase.  Inside record_points() a miss computes nothing:
+/// it is recorded and reads kRecordPlaceholder.
+double cached(const driver::Hasher& key, std::function<double()> compute);
+
+/// Mixes every field of a parameter struct into a key (no padding bytes).
+driver::Hasher& mix(driver::Hasher& h, const sphw::SpParams& p);
+driver::Hasher& mix(driver::Hasher& h, const mpi::MpiWorldConfig& p);
+
+/// What a cached() miss reads during record_points().  Non-zero, so table
+/// code may divide by it.
+inline constexpr double kRecordPlaceholder = 1.0;
+
+/// One point met by a record pass: its cache key and its computation.
+struct RecordedPoint {
+  std::uint64_t key;
+  std::function<double()> compute;
+};
+
+/// Runs `fn` as a record pass on the calling thread: each cached() miss is
+/// recorded instead of computed, once per key, in the order first met.
+/// Points already cached read their value and are not recorded.
+std::vector<RecordedPoint> record_points(const std::function<void()>& fn);
 
 }  // namespace spam::bench

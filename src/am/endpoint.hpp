@@ -228,10 +228,6 @@ class Endpoint {
     return channel == kChanRequest ? params_.request_window_packets
                                    : params_.reply_window_packets;
   }
-  std::size_t chunk_bytes() const {
-    return static_cast<std::size_t>(params_.chunk_packets) *
-           static_cast<std::size_t>(adapter_.params().packet_data_bytes);
-  }
 
   // Send paths.
   void send_small(int dst, std::uint8_t channel, int handler, const Word* args,

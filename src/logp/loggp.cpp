@@ -59,11 +59,6 @@ void LogGpEndpoint::poll() {
   }
 }
 
-void LogGpEndpoint::compute_us(double us) {
-  // Pure compute: defer into the node's charge ledger.
-  ctx_.charge(sim::usec(us * machine_.params().cpu_scale));
-}
-
 void LogGpEndpoint::put_bytes(int dst, void* dst_addr, const void* src,
                               std::size_t len) {
   const LogGpParams& p = machine_.params();

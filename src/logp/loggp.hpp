@@ -107,9 +107,6 @@ class LogGpEndpoint {
                  std::size_t len);
   int outstanding() const { return outstanding_; }
 
-  /// Charges computation time scaled by the machine's cpu factor.
-  void compute_us(double us);
-
   struct Stats {
     std::uint64_t sent = 0;
     std::uint64_t received = 0;

@@ -14,7 +14,6 @@
 namespace spam::mpi {
 
 void Mpi::barrier() {
-  ++coll_stats_.barriers;
   const int p = size();
   if (p == 1) return;
   const int me = rank();
@@ -29,7 +28,6 @@ void Mpi::barrier() {
 }
 
 void Mpi::bcast(void* buf, std::size_t bytes, int root) {
-  ++coll_stats_.bcasts;
   const int p = size();
   if (p == 1) return;
   const int me = rank();
@@ -96,7 +94,6 @@ void Mpi::scatter(const void* sbuf, std::size_t bytes, void* rbuf, int root) {
 
 void Mpi::reduce(const void* sbuf, void* rbuf, std::size_t count, Dtype t,
                  ReduceOp op, int root) {
-  ++coll_stats_.reduces;
   const int p = size();
   const std::size_t bytes = count * dtype_size(t);
   const int me = rank();
@@ -131,7 +128,6 @@ void Mpi::allreduce(const void* sbuf, void* rbuf, std::size_t count, Dtype t,
 }
 
 void Mpi::alltoall(const void* sbuf, void* rbuf, std::size_t bytes) {
-  ++coll_stats_.alltoalls;
   const int p = size();
   const int me = rank();
   const int tag = next_coll_tag();

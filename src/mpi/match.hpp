@@ -45,7 +45,6 @@ class MatchEngine {
   /// returned; otherwise the message joins the unexpected queue.
   std::optional<PostedRecv> arrive(const InMsg& m);
 
-  std::size_t posted_count() const { return posted_.size(); }
   std::size_t unexpected_count() const { return unexpected_.size(); }
 
  private:

@@ -88,14 +88,6 @@ class Mpi {
                     std::size_t stride_bytes, int src, int tag,
                     Status* st = nullptr);
 
-  struct CollStats {
-    std::uint64_t barriers = 0;
-    std::uint64_t bcasts = 0;
-    std::uint64_t reduces = 0;
-    std::uint64_t alltoalls = 0;
-  };
-  const CollStats& coll_stats() const { return coll_stats_; }
-
  protected:
   /// Devices with vendor-tuned collectives (MPI-F) stagger the alltoall.
   virtual bool tuned_collectives() const { return false; }
@@ -134,7 +126,6 @@ class Mpi {
   std::unordered_map<int, Req> reqs_;
   int next_req_ = 1;
   int coll_seq_ = 0;
-  CollStats coll_stats_;
 };
 
 }  // namespace spam::mpi

@@ -158,17 +158,6 @@ SPAM_HOT Engine::Node* Engine::pop_min() {
   return heap_pop();
 }
 
-SPAM_HOT Time Engine::next_time_lower_bound() const {
-  Time lb = kTimeMax;
-  if (run_pos_ < run_.size()) lb = run_[run_pos_]->t;
-  if (!heap_.empty() && heap_[0]->t < lb) lb = heap_[0]->t;
-  if (calendar_count_ > 0) {
-    const Time cal = static_cast<Time>(cal_min_bucket_) << kBucketShift;
-    if (cal < lb) lb = cal;
-  }
-  return lb;
-}
-
 SPAM_HOT void Engine::at(Time t, Action fn) {
   if (t < now_) t = now_;
   Node* n = acquire();
@@ -202,11 +191,11 @@ SPAM_HOT bool Engine::try_skip_elapse(Time d) {
   if (!fastpath_ || stopped_) return false;
   const Time target = now_ + d;
   if (run_deadline_ == 0 || target > run_deadline_) return false;
-  // The lower bound is conservative (bucket-start granularity), so it can
-  // only deny a legal skip, never allow an illegal one.  An event at
-  // exactly `target` must still deny: per-hop mode would run it before the
-  // wake timer (its seq is smaller — it was already queued).
-  if (next_time_lower_bound() <= target) return false;
+  // Exact peek (drains calendar buckets as needed).  An event at exactly
+  // `target` must still deny: per-hop mode would run it before the wake
+  // timer (its seq is smaller — it was already queued).
+  const Node* next = front();
+  if (next != nullptr && next->t <= target) return false;
   now_ = target;
   return true;
 }

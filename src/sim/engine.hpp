@@ -138,10 +138,6 @@ class Engine {
   Node* pop_min();
   std::uint64_t next_nonempty_bucket() const;
   void drain_bucket(std::uint64_t b);
-  /// Cheap lower bound on the earliest pending event time (bucket start
-  /// granularity for calendar entries).  Only safe for *denying* a
-  /// skip-ahead; run_until uses the exact front().
-  Time next_time_lower_bound() const;
 
   // Node storage: fixed-size blocks keep node addresses stable while the
   // pool grows; the free list threads through recycled nodes.

@@ -168,8 +168,6 @@ class Tb2Adapter {
   };
   const Stats& stats() const { return stats_; }
 
-  /// Receive-FIFO capacity (entries) as configured.
-  int rx_fifo_capacity() const { return rx_fifo_capacity_; }
   /// Entries currently occupied from the adapter's point of view
   /// (includes host-consumed entries not yet lazily popped).
   int rx_fifo_occupied() const { return rx_fifo_used_; }

@@ -1,8 +1,9 @@
 // SweepRunner + ResultCache + Hasher: slot-ordered aggregation under
 // adversarial job durations, highest-index-first scheduling, a long point
 // not holding back the rest, deterministic exception selection, memoize
-// semantics, key distinctness, and the serial-vs-parallel determinism
-// guarantee on a real Figure-3 sub-sweep.  TSan-clean by design (the
+// semantics, key distinctness, the bench harness's record → parallel →
+// print entry, and the serial-vs-parallel determinism guarantee on a real
+// Figure-3 sub-sweep.  TSan-clean by design (the
 // `tsan` CMake preset runs everything labelled `driver` under
 // ThreadSanitizer).
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 
 #include "driver/sweep.hpp"
 #include "harness.hpp"
+#include "micro.hpp"
 #include "sim/action.hpp"
 
 namespace {
@@ -216,23 +218,56 @@ TEST(ThreadLocalState, HeapFallbackCounterIsPerThread) {
   EXPECT_EQ(spam::sim::InlineAction::heap_fallbacks(), mine);
 }
 
+TEST(BenchHarness, SecondPassReadOfUnrecordedPointIsAMiss) {
+  // Point a, read twice per pass, is computed once, in the parallel phase
+  // (the record pass computes nothing).  Point b is read only by the
+  // second (print) pass, so it never ran there: one print-pass miss.
+  ResultCache::instance().clear();
+  int pass = 0;
+  std::atomic<int> computed_a{0};
+  const auto r = spam::bench::regenerate(
+      [&] {
+        ++pass;
+        const auto a = [&] {
+          return spam::bench::cached(Hasher("harness_test_a"), [&] {
+            ++computed_a;
+            return 2.0;
+          });
+        };
+        double v = a() + a();
+        if (pass == 2) {
+          v += spam::bench::cached(Hasher("harness_test_b"),
+                                   [] { return 3.0; });
+        }
+        return std::to_string(v);
+      },
+      2);
+  EXPECT_EQ(pass, 2);
+  EXPECT_EQ(computed_a.load(), 1);
+  EXPECT_EQ(r.print_misses, 1u);
+  EXPECT_EQ(r.text, std::to_string(7.0));
+  ResultCache::instance().clear();
+}
+
 TEST(SweepDeterminism, Figure3SubSweepIsByteIdenticalSerialVsParallel) {
-  // The PR's core guarantee: the rendered Figure-3 table is byte-for-byte
-  // identical whether the points were computed at --jobs 1 or --jobs 8.
-  // Cold cache both times so the parallel run really computes in parallel.
+  // The core guarantee: the rendered Figure-3 table is byte-for-byte
+  // identical whether the bench entry ran its points at --jobs 1 or
+  // --jobs 8.  Cold cache both times so the parallel run really computes
+  // in parallel.
   const std::vector<std::size_t> sizes = {16, 512, 8192, 65536};
+  const auto table = [&] { return spam::bench::fig3_table(sizes).render(); };
   ResultCache& cache = ResultCache::instance();
 
   cache.clear();
-  SweepRunner(1).run(spam::bench::fig3_points(sizes));
-  const std::string serial = spam::bench::fig3_table(sizes).render();
+  const auto serial = spam::bench::regenerate(table, 1);
 
   cache.clear();
-  SweepRunner(8).run(spam::bench::fig3_points(sizes));
-  const std::string parallel = spam::bench::fig3_table(sizes).render();
+  const auto parallel = spam::bench::regenerate(table, 8);
 
-  EXPECT_FALSE(serial.empty());
-  EXPECT_EQ(serial, parallel);
+  EXPECT_FALSE(serial.text.empty());
+  EXPECT_EQ(serial.text, parallel.text);
+  EXPECT_EQ(serial.print_misses, 0u);
+  EXPECT_EQ(parallel.print_misses, 0u);
   cache.clear();
 }
 

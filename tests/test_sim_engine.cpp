@@ -1,7 +1,7 @@
 // Unit tests for the discrete-event engine: ordering, determinism, clamping.
 #include <gtest/gtest.h>
 
-#include <algorithm>\n#include <string>
+#include <algorithm>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -162,6 +162,22 @@ TEST(Engine, TrySkipElapseRespectsQueuedEvents) {
   e.run();
   EXPECT_TRUE(ran);
   EXPECT_EQ(e.now(), 100u);
+}
+
+TEST(Engine, TrySkipElapseUsesExactNextEvent) {
+  // The queued event sits in a calendar bucket that starts (2048 ns)
+  // before the skip target; only its exact time (3000 ns) may deny.
+  Engine e;
+  e.set_fastpath(true);
+  bool ran = false;
+  e.at(0, [&] {
+    e.at(3000, [&ran] { ran = true; });
+    EXPECT_TRUE(e.try_skip_elapse(2500));
+    EXPECT_EQ(e.now(), 2500u);
+  });
+  e.run();
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(e.now(), 3000u);
 }
 
 TEST(Engine, TrySkipElapseDisabledInPerHopMode) {

@@ -14,9 +14,10 @@
 #   lint-self      spam_lint over its own sources, plus a standalone
 #                  -fsyntax-only compile of each tool header (the tool is
 #                  not covered by the src/ header-hygiene object library)
-#   build          default (RelWithDebInfo) build + full ctest suite,
-#                  which holds the virtual-time anchors, zero steady-state
-#                  allocation, mode identity and every paper output
+#   build          default (RelWithDebInfo) build with warnings as errors
+#                  + full ctest suite, which holds the virtual-time
+#                  anchors, zero steady-state allocation, mode identity and
+#                  every paper output
 #                  (SteadyState.*, ModeEquivalence.*, Golden.*)
 #   perfbench      builds the separate host-time benchmark package
 #                  (.bench_build/perfbench) against the current src/, runs
@@ -45,9 +46,9 @@ skipped() {
   case "$SKIP" in *" $1 "*) return 0 ;; *) return 1 ;; esac
 }
 
-run_preset_suite() {  # <preset> [ctest-preset]
+run_preset_suite() {  # <preset> [ctest-preset] [configure args...]
   local preset="$1" test_preset="${2:-$1}"
-  cmake --preset "$preset" >/dev/null
+  cmake --preset "$preset" "${@:3}" >/dev/null
   cmake --build --preset "$preset" -j "$JOBS"
   ctest --preset "$test_preset" -j "$JOBS"
 }
@@ -98,8 +99,9 @@ if ! skipped lint-self; then
 fi
 
 if ! skipped build; then
-  note "default build + full test suite"
-  run_preset_suite relwithdebinfo
+  note "default build (warnings are errors) + full test suite"
+  run_preset_suite relwithdebinfo relwithdebinfo \
+    -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 fi
 
 if ! skipped perfbench; then

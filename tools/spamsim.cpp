@@ -20,8 +20,9 @@
 // A flag without a value, a flag the subcommand does not take, a value
 // outside the choices listed above, or a numeric value that is not a
 // non-negative number prints usage and exits 2.  `sort` exits 1 when the
-// sorted keys fail validation, `nas` when the kernel does not finish, and
-// `fault` when the transferred bytes arrive corrupted.
+// sorted keys fail validation, `nas` when the kernel does not finish,
+// `fault` when the transferred bytes arrive corrupted, and `fig3` when its
+// print pass misses the cache.
 //
 // `--jobs N` (fig3) spreads the sweep's independent simulations across N
 // host threads via the driver::SweepRunner; the printed table is byte-for-
@@ -35,7 +36,6 @@
 
 #include "apps/nas.hpp"
 #include "apps/splitc_apps.hpp"
-#include "driver/sweep.hpp"
 #include "harness.hpp"
 #include "micro.hpp"
 
@@ -108,17 +108,18 @@ bool is_number(const char* s) {
 }
 
 int run_fig3(const Args& a) {
-  // The full Figure 3 sweep: warm every (curve, size) point in parallel,
-  // then render the table from the cache.  Output is independent of --jobs.
+  // The full Figure 3 sweep, as the bench runs it: record the table's
+  // points, compute them in parallel, render the table from the cache.
+  // Output is independent of --jobs.
   std::vector<std::size_t> sizes = spam::bench::figure3_sizes();
   if (a.get("sizes", "full") == "quick") {
     sizes = {16, 512, 8192, 65536, 1u << 20};
   }
-  spam::driver::SweepRunner runner(static_cast<int>(a.num("jobs", 0)));
-  runner.run(spam::bench::fig3_points(sizes));
-  const std::string rendered = spam::bench::fig3_table(sizes).render();
-  std::fwrite(rendered.data(), 1, rendered.size(), stdout);
-  return 0;
+  const spam::bench::Regeneration r = spam::bench::regenerate(
+      [&] { return spam::bench::fig3_table(sizes).render(); },
+      static_cast<int>(a.num("jobs", 0)));
+  std::fwrite(r.text.data(), 1, r.text.size(), stdout);
+  return r.print_misses == 0 ? 0 : 1;
 }
 
 spam::sphw::SpParams hw_of(const Args& a) {
