@@ -2,22 +2,23 @@
 // section 4.2 — the binned receive-buffer allocator and batched frees —
 // measured as small-message MPI latency and throughput, plus the allocator
 // search-cost proxy.
-#include "driver/sweep.hpp"
-#include "harness.hpp"
-#include "micro.hpp"
 #include "mpi/buffer_alloc.hpp"
 #include "sim/rng.hpp"
+#include "tables.hpp"
+
+namespace spam::bench {
 
 namespace {
 
-using spam::mpi::MpiAmConfig;
-using spam::mpi::MpiImpl;
-using spam::mpi::MpiWorldConfig;
+using mpi::MpiAmConfig;
+using mpi::MpiImpl;
+using mpi::MpiWorldConfig;
 
-MpiWorldConfig variant(bool binned, bool batch_frees) {
+MpiWorldConfig variant(bool binned, bool batch_frees, Cell c) {
   MpiWorldConfig cfg;
   cfg.nodes = 2;
   cfg.impl = MpiImpl::kAmOptimized;
+  cfg.hw = hw(c);
   cfg.am_cfg = MpiAmConfig::opt();
   cfg.am_cfg.binned_allocator = binned;
   cfg.am_cfg.batch_frees = batch_frees;
@@ -28,7 +29,7 @@ MpiWorldConfig variant(bool binned, bool batch_frees) {
 /// pattern that fragments the receive buffer and makes first-fit walks
 /// long (the paper's profiling scenario).
 double small_msg_throughput_us_raw(const MpiWorldConfig& cfg) {
-  spam::mpi::MpiWorld w(cfg);
+  mpi::MpiWorld w(cfg);
   constexpr int kGroups = 50;
   constexpr int kPerGroup = 8;
   constexpr int kMsgs = kGroups * kPerGroup;
@@ -38,10 +39,10 @@ double small_msg_throughput_us_raw(const MpiWorldConfig& cfg) {
     return s[i % kPerGroup];
   };
   std::vector<std::byte> buf(1024, std::byte{1});
-  spam::sim::Time elapsed = 0;
-  w.run([&](spam::mpi::Mpi& m) {
+  sim::Time elapsed = 0;
+  w.run([&](mpi::Mpi& m) {
     if (m.rank() == 0) {
-      const spam::sim::Time t0 = m.ctx().now();
+      const sim::Time t0 = m.ctx().now();
       for (int i = 0; i < kMsgs; ++i) {
         m.send(buf.data(), size_of(i), 1, i % kPerGroup);
       }
@@ -60,19 +61,19 @@ double small_msg_throughput_us_raw(const MpiWorldConfig& cfg) {
       m.send(&fin, 1, 0, 100);
     }
   });
-  return spam::sim::to_usec(elapsed) / kMsgs;
+  return sim::to_usec(elapsed) / kMsgs;
 }
 
 double small_msg_throughput_us(const MpiWorldConfig& cfg) {
-  spam::driver::Hasher h("small_msg_throughput_us");
-  return spam::bench::cached(spam::bench::mix(h, cfg),
-                             [cfg] { return small_msg_throughput_us_raw(cfg); });
+  driver::Hasher h("small_msg_throughput_us");
+  return cached(mix(h, cfg),
+                [cfg] { return small_msg_throughput_us_raw(cfg); });
 }
 
 /// First-fit search steps of the allocator alone under realistic churn.
 std::uint64_t churn_steps(bool binned) {
-  spam::mpi::BufferAllocator a(16 * 1024, binned);
-  spam::sim::Rng rng(11);
+  mpi::BufferAllocator a(16 * 1024, binned);
+  sim::Rng rng(11);
   std::vector<std::pair<std::size_t, std::size_t>> live;
   for (int i = 0; i < 20000; ++i) {
     if (live.size() > 6 && rng.chance(0.55)) {
@@ -82,7 +83,7 @@ std::uint64_t churn_steps(bool binned) {
     } else {
       const std::size_t len = 64 + rng.next_below(960);
       const std::size_t off = a.alloc(len);
-      if (off != spam::mpi::BufferAllocator::kFail) live.emplace_back(off, len);
+      if (off != mpi::BufferAllocator::kFail) live.emplace_back(off, len);
     }
   }
   return a.stats().fit_search_steps;
@@ -90,36 +91,32 @@ std::uint64_t churn_steps(bool binned) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  spam::bench::harness_init(argc, argv);
-  // The allocator-only comparison simulates nothing; it runs once, here.
-  const std::string steps =
-      "\nFirst-fit search steps under churn: first-fit-only=" +
-      std::to_string(churn_steps(false)) +
-      ", binned=" + std::to_string(churn_steps(true)) + "\n";
-  return spam::bench::run_tables([&] {
-    spam::report::Table tab(
-        "Buffered-protocol ablation — 512 B message stream (2 nodes)");
-    tab.set_header(
-        {"allocator", "frees", "us per message", "hop latency 64B"});
-    for (const bool binned : {false, true}) {
-      for (const bool batch : {false, true}) {
-        const auto cfg = variant(binned, batch);
-        tab.add_row(
-            {binned ? "binned+first-fit" : "first-fit only",
-             batch ? "batched" : "one per buffer",
-             spam::report::fmt(small_msg_throughput_us(cfg), 2),
-             spam::report::fmt(spam::bench::mpi_hop_latency_us(cfg, 64), 2)});
-      }
+std::string ablation_binned_alloc(Cell c) {
+  report::Table tab(
+      "Buffered-protocol ablation — 512 B message stream (2 nodes)");
+  tab.set_header({"allocator", "frees", "us per message", "hop latency 64B"});
+  for (const bool binned : {false, true}) {
+    for (const bool batch : {false, true}) {
+      const auto cfg = variant(binned, batch, c);
+      tab.add_row({binned ? "binned+first-fit" : "first-fit only",
+                   batch ? "batched" : "one per buffer",
+                   report::fmt(small_msg_throughput_us(cfg), 2),
+                   report::fmt(mpi_hop_latency_us(cfg, 64), 2)});
     }
-    return tab.render() + steps +
-           "Design-choice reading: batching frees shows directly in the "
-           "us/message column\n(one fewer control message per buffer).  The "
-           "binned allocator's effect is the\nsearch-step count above: a "
-           "clean 2-node stream keeps the hole list short, but\nunder the "
-           "fragmented churn real MPI traffic produces (the paper's "
-           "profiling\nscenario) first-fit walks ~5x further than the "
-           "binned fast path — at ~0.2 us a\nstep, the 'major cost in "
-           "sending small messages' the paper reports.\n";
-  });
+  }
+  // The allocator-only comparison simulates nothing, so it is no point.
+  return tab.render() +
+         "\nFirst-fit search steps under churn: first-fit-only=" +
+         std::to_string(churn_steps(false)) +
+         ", binned=" + std::to_string(churn_steps(true)) + "\n" +
+         "Design-choice reading: batching frees shows directly in the "
+         "us/message column\n(one fewer control message per buffer).  The "
+         "binned allocator's effect is the\nsearch-step count above: a "
+         "clean 2-node stream keeps the hole list short, but\nunder the "
+         "fragmented churn real MPI traffic produces (the paper's "
+         "profiling\nscenario) first-fit walks ~5x further than the "
+         "binned fast path — at ~0.2 us a\nstep, the 'major cost in "
+         "sending small messages' the paper reports.\n";
 }
+
+}  // namespace spam::bench

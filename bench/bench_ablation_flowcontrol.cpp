@@ -1,11 +1,9 @@
 // Ablation: the flow-control design choices of SP AM (section 2.2).
 // Sweeps chunk size, window size, doorbell batching, and the lazy-pop
 // batch, reporting their effect on bulk bandwidth.
-#include <string>
-#include <vector>
+#include "tables.hpp"
 
-#include "harness.hpp"
-#include "micro.hpp"
+namespace spam::bench {
 
 namespace {
 
@@ -13,60 +11,55 @@ namespace {
 struct Knob {
   const char* name;
   int setting;
-  spam::am::AmParams amp;
-  spam::sphw::SpParams hw = spam::sphw::SpParams::thin_node();
+  am::AmParams amp;
+  sphw::SpParams hw;
 };
 
-std::vector<Knob> knobs() {
+std::vector<Knob> knobs(Cell c) {
   std::vector<Knob> v;
-  for (int c : {4, 9, 18, 36, 72}) {
-    spam::am::AmParams amp;
-    amp.chunk_packets = c;
+  for (int k : {4, 9, 18, 36, 72}) {
+    am::AmParams amp;
+    amp.chunk_packets = k;
     // Keep the window at two chunks, as the protocol requires.
-    amp.request_window_packets = 2 * c;
-    amp.reply_window_packets = 2 * c + 4;
-    v.push_back({"chunk packets (window = 2 chunks)", c, amp});
+    amp.request_window_packets = 2 * k;
+    amp.reply_window_packets = 2 * k + 4;
+    v.push_back({"chunk packets (window = 2 chunks)", k, amp, hw(c)});
   }
   for (int w : {36, 72, 144}) {
-    spam::am::AmParams amp;
+    am::AmParams amp;
     amp.request_window_packets = w;
     amp.reply_window_packets = w + 4;
-    v.push_back({"window packets (chunk = 36)", w, amp});
+    v.push_back({"window packets (chunk = 36)", w, amp, hw(c)});
   }
   for (int d : {1, 4, 36}) {
-    spam::am::AmParams amp;
+    am::AmParams amp;
     amp.doorbell_batch_packets = d;
-    v.push_back({"doorbell batch", d, amp});
+    v.push_back({"doorbell batch", d, amp, hw(c)});
   }
   for (int l : {1, 8, 32}) {
-    Knob k{"lazy-pop batch", l, {}};
+    Knob k{"lazy-pop batch", l, {}, hw(c)};
     k.hw.lazy_pop_batch = l;
     v.push_back(k);
   }
   return v;
 }
 
-/// Bandwidth of a 1 MB pipelined async store under the knob's parameters.
-double bw_of(const Knob& k) {
-  return spam::bench::am_bandwidth_mbps(
-      spam::bench::AmBwMode::kPipelinedAsyncStore, 1 << 20, k.hw, k.amp);
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  spam::bench::harness_init(argc, argv);
-  return spam::bench::run_tables([] {
-    spam::report::Table tab("Flow-control ablations (1 MB async store)");
-    tab.set_header({"knob", "setting", "bandwidth (MB/s)"});
-    for (const Knob& k : knobs()) {
-      tab.add_row({k.name, std::to_string(k.setting),
-                   spam::report::fmt(bw_of(k))});
-    }
-    return tab.render() +
-           "\nDesign-choice reading: a one-chunk window stalls the pipeline "
-           "(chunk N needs the\nack of chunk N-2); per-packet doorbells and "
-           "per-packet pops burn a ~1 us\nMicroChannel access each, which is "
-           "why the paper batches both.\n";
-  });
+std::string ablation_flowcontrol(Cell c) {
+  report::Table tab("Flow-control ablations (1 MB async store)");
+  tab.set_header({"knob", "setting", "bandwidth (MB/s)"});
+  for (const Knob& k : knobs(c)) {
+    // Bandwidth of a 1 MB pipelined async store under the knob's parameters.
+    const double bw = am_bandwidth_mbps(AmBwMode::kPipelinedAsyncStore,
+                                        1 << 20, k.hw, k.amp);
+    tab.add_row({k.name, std::to_string(k.setting), report::fmt(bw)});
+  }
+  return tab.render() +
+         "\nDesign-choice reading: a one-chunk window stalls the pipeline "
+         "(chunk N needs the\nack of chunk N-2); per-packet doorbells and "
+         "per-packet pops burn a ~1 us\nMicroChannel access each, which is "
+         "why the paper batches both.\n";
 }
+
+}  // namespace spam::bench

@@ -1,18 +1,20 @@
 // Ablation: the hybrid protocol's eager-prefix size (paper uses 4 KB).
 // Measures MPI bandwidth around the protocol-switch region for several
 // prefix sizes, including 0 (pure rendez-vous).
-#include "harness.hpp"
-#include "micro.hpp"
+#include "tables.hpp"
+
+namespace spam::bench {
 
 namespace {
 
-using spam::mpi::MpiAmConfig;
-using spam::mpi::MpiImpl;
-using spam::mpi::MpiWorldConfig;
+using mpi::MpiAmConfig;
+using mpi::MpiImpl;
+using mpi::MpiWorldConfig;
 
-MpiWorldConfig cfg_with_prefix(std::size_t prefix) {
+MpiWorldConfig cfg_with_prefix(std::size_t prefix, Cell c) {
   MpiWorldConfig cfg;
   cfg.impl = MpiImpl::kAmOptimized;
+  cfg.hw = hw(c);
   cfg.am_cfg = MpiAmConfig::opt();
   cfg.am_cfg.eager_max = 0;  // force the large-message path everywhere
   cfg.am_cfg.hybrid = prefix > 0;
@@ -25,27 +27,25 @@ const std::size_t kSizes[] = {4096, 8192, 12288, 16384, 24576, 32768, 65536};
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  spam::bench::harness_init(argc, argv);
-  return spam::bench::run_tables([] {
-    spam::report::Table tab(
-        "Hybrid-prefix ablation — MPI bandwidth (MB/s) by prefix size");
-    std::vector<std::string> hdr{"bytes"};
+std::string ablation_hybrid_prefix(Cell c) {
+  report::Table tab(
+      "Hybrid-prefix ablation — MPI bandwidth (MB/s) by prefix size");
+  std::vector<std::string> hdr{"bytes"};
+  for (std::size_t p : kPrefixes) {
+    hdr.push_back(p == 0 ? "pure rdv" : std::to_string(p) + "B prefix");
+  }
+  tab.set_header(hdr);
+  for (std::size_t s : kSizes) {
+    std::vector<std::string> row{std::to_string(s)};
     for (std::size_t p : kPrefixes) {
-      hdr.push_back(p == 0 ? "pure rdv" : std::to_string(p) + "B prefix");
+      row.push_back(report::fmt(mpi_bandwidth_mbps(cfg_with_prefix(p, c), s)));
     }
-    tab.set_header(hdr);
-    for (std::size_t s : kSizes) {
-      std::vector<std::string> row{std::to_string(s)};
-      for (std::size_t p : kPrefixes) {
-        row.push_back(spam::report::fmt(
-            spam::bench::mpi_bandwidth_mbps(cfg_with_prefix(p), s)));
-      }
-      tab.add_row(row);
-    }
-    return tab.render() +
-           "\nDesign-choice reading: the prefix keeps the pipe full during "
-           "the rendez-vous\nhandshake; gains should saturate near the "
-           "paper's 4 KB choice.\n";
-  });
+    tab.add_row(row);
+  }
+  return tab.render() +
+         "\nDesign-choice reading: the prefix keeps the pipe full during "
+         "the rendez-vous\nhandshake; gains should saturate near the "
+         "paper's 4 KB choice.\n";
 }
+
+}  // namespace spam::bench

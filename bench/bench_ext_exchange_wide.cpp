@@ -4,28 +4,28 @@
 #include <algorithm>
 #include <vector>
 
-#include "harness.hpp"
-#include "micro.hpp"
+#include "tables.hpp"
+
+namespace spam::bench {
 
 namespace {
 
 /// Both nodes stream `total` bytes at each other simultaneously with
 /// pipelined async stores; reports the per-node send bandwidth.
-double exchange_bandwidth_mbps_raw(std::size_t piece,
-                                   spam::sphw::SpParams hw) {
-  spam::sim::World world(2);
-  spam::sphw::SpMachine machine(world, hw);
-  spam::am::AmNet net(machine);
+double exchange_bandwidth_mbps_raw(std::size_t piece, sphw::SpParams hw) {
+  sim::World world(2);
+  sphw::SpMachine machine(world, hw);
+  am::AmNet net(machine);
   const std::size_t total = 1 << 20;
   const std::size_t count = total / piece;
   std::vector<std::byte> src(piece, std::byte{0x11});
   std::vector<std::byte> d0(piece, std::byte{0});
   std::vector<std::byte> d1(piece, std::byte{0});
   std::size_t done[2] = {0, 0};
-  spam::sim::Time finish[2] = {0, 0};
+  sim::Time finish[2] = {0, 0};
 
   for (int r = 0; r < 2; ++r) {
-    world.spawn(r, [&, r](spam::sim::NodeCtx& ctx) {
+    world.spawn(r, [&, r](sim::NodeCtx& ctx) {
       auto& ep = net.ep(r);
       auto* dst = r == 0 ? d1.data() : d0.data();
       for (std::size_t i = 0; i < count; ++i) {
@@ -38,59 +38,54 @@ double exchange_bandwidth_mbps_raw(std::size_t piece,
     });
   }
   world.run();
-  const double secs =
-      spam::sim::to_sec(std::max(finish[0], finish[1]));
+  const double secs = sim::to_sec(std::max(finish[0], finish[1]));
   return static_cast<double>(total) / secs / 1e6;
 }
 
-double exchange_bandwidth_mbps(std::size_t piece, spam::sphw::SpParams hw) {
-  spam::driver::Hasher h("exchange_bandwidth_mbps");
-  return spam::bench::cached(spam::bench::mix(h.mix(piece), hw), [=] {
-    return exchange_bandwidth_mbps_raw(piece, hw);
-  });
+double exchange_bandwidth_mbps(std::size_t piece, sphw::SpParams hw) {
+  driver::Hasher h("exchange_bandwidth_mbps");
+  return cached(mix(h.mix(piece), hw),
+                [=] { return exchange_bandwidth_mbps_raw(piece, hw); });
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  spam::bench::harness_init(argc, argv);
-  return spam::bench::run_tables([] {
-    using spam::bench::AmBwMode;
-    using spam::report::fmt;
-    const auto thin = spam::sphw::SpParams::thin_node();
-    const auto wide = spam::sphw::SpParams::wide_node();
+std::string ext_exchange_wide(Cell c) {
+  using report::fmt;
+  const auto thin = hw(c);
+  const auto wide = hw(c, /*wide_nodes=*/true);
 
-    spam::report::Table ex(
-        "Extension — bidirectional exchange bandwidth per node (MB/s)");
-    ex.set_header({"piece bytes", "one-way (thin)", "exchange (thin)",
-                   "exchange (wide)"});
-    for (std::size_t piece : {std::size_t{1024}, std::size_t{8192},
-                              std::size_t{65536}}) {
-      ex.add_row({std::to_string(piece),
-                  fmt(spam::bench::am_bandwidth_mbps(
-                      AmBwMode::kPipelinedAsyncStore, piece, thin, {})),
-                  fmt(exchange_bandwidth_mbps(piece, thin)),
-                  fmt(exchange_bandwidth_mbps(piece, wide))});
-    }
+  report::Table ex(
+      "Extension — bidirectional exchange bandwidth per node (MB/s)");
+  ex.set_header({"piece bytes", "one-way (thin)", "exchange (thin)",
+                 "exchange (wide)"});
+  for (std::size_t piece :
+       {std::size_t{1024}, std::size_t{8192}, std::size_t{65536}}) {
+    ex.add_row({std::to_string(piece),
+                fmt(am_bandwidth_mbps(AmBwMode::kPipelinedAsyncStore, piece,
+                                      thin, {})),
+                fmt(exchange_bandwidth_mbps(piece, thin)),
+                fmt(exchange_bandwidth_mbps(piece, wide))});
+  }
 
-    spam::report::Table am(
-        "Extension — AM microbenchmarks, thin vs wide nodes");
-    am.set_header({"metric", "thin", "wide"});
-    am.add_row({"one-word round-trip (us)",
-                fmt(spam::bench::am_rtt_us(1, thin)),
-                fmt(spam::bench::am_rtt_us(1, wide))});
-    am.add_row({"async-store r-inf (MB/s)",
-                fmt(spam::bench::am_bandwidth_mbps(
-                    AmBwMode::kPipelinedAsyncStore, 1 << 20, thin, {})),
-                fmt(spam::bench::am_bandwidth_mbps(
-                    AmBwMode::kPipelinedAsyncStore, 1 << 20, wide, {}))});
+  report::Table am("Extension — AM microbenchmarks, thin vs wide nodes");
+  am.set_header({"metric", "thin", "wide"});
+  am.add_row({"one-word round-trip (us)", fmt(am_rtt_us(1, thin)),
+              fmt(am_rtt_us(1, wide))});
+  am.add_row(
+      {"async-store r-inf (MB/s)",
+       fmt(am_bandwidth_mbps(AmBwMode::kPipelinedAsyncStore, 1 << 20, thin,
+                             {})),
+       fmt(am_bandwidth_mbps(AmBwMode::kPipelinedAsyncStore, 1 << 20, wide,
+                             {}))});
 
-    return ex.render() + am.render() +
-           "\nReading: exchange bandwidth stays near the one-way rate — the "
-           "links are\nfull-duplex and the adapter rx/tx pipelines are "
-           "independent; the receiver's CPU\nbudget (copies + acks) is the "
-           "contended resource.  Wide nodes shave host-side\ncosts, helping "
-           "latency slightly and bandwidth marginally (the link still "
-           "binds).\n";
-  });
+  return ex.render() + am.render() +
+         "\nReading: exchange bandwidth stays near the one-way rate — the "
+         "links are\nfull-duplex and the adapter rx/tx pipelines are "
+         "independent; the receiver's CPU\nbudget (copies + acks) is the "
+         "contended resource.  Wide nodes shave host-side\ncosts, helping "
+         "latency slightly and bandwidth marginally (the link still "
+         "binds).\n";
 }
+
+}  // namespace spam::bench

@@ -3,53 +3,53 @@
 // choice implies: polling gives minimum latency when the receiver is
 // attentive; interrupts bound response time during long computations at a
 // per-message premium.
-#include "harness.hpp"
-#include "micro.hpp"
+#include "tables.hpp"
+
+namespace spam::bench {
 
 namespace {
 
-using spam::am::AmParams;
+using am::AmParams;
 
 /// Round-trip when the responder sits in poll_until (attentive).
-double attentive_rtt_us(bool interrupts) {
+double attentive_rtt_us(bool interrupts, Cell c) {
   AmParams amp;
   amp.interrupt_driven = interrupts;
-  return spam::bench::am_rtt_us(1, spam::sphw::SpParams::thin_node(), amp);
+  return am_rtt_us(1, hw(c), amp);
 }
 
 /// Mean response time when the responder is busy computing in 5 ms slices.
-double busy_response_us_raw(bool interrupts) {
+double busy_response_us_raw(bool interrupts, const sphw::SpParams& hw) {
   AmParams amp;
   amp.interrupt_driven = interrupts;
-  spam::sim::World world(2);
-  spam::sphw::SpMachine machine(world, spam::sphw::SpParams::thin_node());
-  spam::am::AmNet net(machine, amp);
-  spam::am::Endpoint& e0 = net.ep(0);
-  spam::am::Endpoint& e1 = net.ep(1);
+  sim::World world(2);
+  sphw::SpMachine machine(world, hw);
+  am::AmNet net(machine, amp);
+  am::Endpoint& e0 = net.ep(0);
+  am::Endpoint& e1 = net.ep(1);
 
   int pongs = 0;
   const int h_pong = e0.register_handler(
-      [&](spam::am::Endpoint&, spam::am::Token, const spam::am::Word*, int) {
-        ++pongs;
-      });
+      [&](am::Endpoint&, am::Token, const am::Word*, int) { ++pongs; });
   const int h_ping = e1.register_handler(
-      [&](spam::am::Endpoint& ep, spam::am::Token t, const spam::am::Word* a,
-          int) { ep.reply_1(t, h_pong, a[0]); });
+      [&](am::Endpoint& ep, am::Token t, const am::Word* a, int) {
+        ep.reply_1(t, h_pong, a[0]);
+      });
 
   constexpr int kMsgs = 8;
-  spam::sim::Time total = 0;
+  sim::Time total = 0;
   bool stop = false;
-  world.spawn(0, [&](spam::sim::NodeCtx& ctx) {
-    const spam::sim::Time t0 = ctx.now();
+  world.spawn(0, [&](sim::NodeCtx& ctx) {
+    const sim::Time t0 = ctx.now();
     for (int i = 0; i < kMsgs; ++i) {
       const int want = pongs + 1;
-      e0.request_1(1, h_ping, static_cast<spam::am::Word>(i));
+      e0.request_1(1, h_ping, static_cast<am::Word>(i));
       e0.poll_until([&] { return pongs >= want; });
     }
     total = ctx.now() - t0;
     stop = true;
   });
-  world.spawn(1, [&](spam::sim::NodeCtx&) {
+  world.spawn(1, [&](sim::NodeCtx&) {
     // The responder "computes" the whole time; only interrupts (or the
     // compute slice boundaries, where it polls once) service requests.
     while (!stop) {
@@ -58,34 +58,33 @@ double busy_response_us_raw(bool interrupts) {
     }
   });
   world.run();
-  return spam::sim::to_usec(total) / kMsgs;
+  return sim::to_usec(total) / kMsgs;
 }
 
-double busy_response_us(bool interrupts) {
-  return spam::bench::cached(
-      spam::driver::Hasher("busy_response_us").mix(interrupts),
-      [interrupts] { return busy_response_us_raw(interrupts); });
+double busy_response_us(bool interrupts, Cell c) {
+  const sphw::SpParams p = hw(c);
+  driver::Hasher h("busy_response_us");
+  return cached(mix(h.mix(interrupts), p),
+                [=] { return busy_response_us_raw(interrupts, p); });
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  spam::bench::harness_init(argc, argv);
-  return spam::bench::run_tables([] {
-    spam::report::Table tab(
-        "Extension — polling vs interrupt-driven reception");
-    tab.set_header({"scenario", "polling", "interrupt-driven"});
-    tab.add_row({"round-trip, attentive responder (us)",
-                 spam::report::fmt(attentive_rtt_us(false)),
-                 spam::report::fmt(attentive_rtt_us(true))});
-    tab.add_row({"round-trip, responder computing 5 ms slices (us)",
-                 spam::report::fmt(busy_response_us(false)),
-                 spam::report::fmt(busy_response_us(true))});
-    return tab.render() +
-           "\nReading: with an attentive responder polling wins (no "
-           "interrupt cost on the\ncritical path); when the responder "
-           "computes, polling defers responses to slice\nboundaries while "
-           "interrupts bound them near RTT + interrupt latency — the "
-           "trade\nthe paper sidesteps by polling everywhere.\n";
-  });
+std::string ext_interrupts(Cell c) {
+  report::Table tab("Extension — polling vs interrupt-driven reception");
+  tab.set_header({"scenario", "polling", "interrupt-driven"});
+  tab.add_row({"round-trip, attentive responder (us)",
+               report::fmt(attentive_rtt_us(false, c)),
+               report::fmt(attentive_rtt_us(true, c))});
+  tab.add_row({"round-trip, responder computing 5 ms slices (us)",
+               report::fmt(busy_response_us(false, c)),
+               report::fmt(busy_response_us(true, c))});
+  return tab.render() +
+         "\nReading: with an attentive responder polling wins (no "
+         "interrupt cost on the\ncritical path); when the responder "
+         "computes, polling defers responses to slice\nboundaries while "
+         "interrupts bound them near RTT + interrupt latency — the "
+         "trade\nthe paper sidesteps by polling everywhere.\n";
 }
+
+}  // namespace spam::bench

@@ -2,16 +2,16 @@
 // bulk transfers, 16 B .. 1 MB — six curves: sync store, sync get, MPL
 // send/reply (blocking), pipelined async store, pipelined async get,
 // pipelined MPL send.
-#include "harness.hpp"
-#include "micro.hpp"
+#include "tables.hpp"
 
-int main(int argc, char** argv) {
-  spam::bench::harness_init(argc, argv);
-  return spam::bench::run_tables([] {
-    // Figure data as a table: size, then the six curves.
-    return spam::bench::fig3_table(spam::bench::figure3_sizes()).render() +
-           "\nShape checks (paper): async >= sync below one chunk and equal "
-           "above 8064 B;\nsync get trails sync store at small sizes; all "
-           "curves converge to ~34-35 MB/s.\n";
-  });
+namespace spam::bench {
+
+std::string fig3_bandwidth(Cell c) {
+  // Figure data as a table: size, then the six curves.
+  return fig3_table(figure3_sizes(), hw(c)).render() +
+         "\nShape checks (paper): async >= sync below one chunk and equal "
+         "above 8064 B;\nsync get trails sync store at small sizes; all "
+         "curves converge to ~34-35 MB/s.\n";
 }
+
+}  // namespace spam::bench

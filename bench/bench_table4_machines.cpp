@@ -2,22 +2,26 @@
 // Meiko CS-2, U-Net/ATM cluster, and IBM SP — message overhead, round-trip
 // latency, and per-node bandwidth, measured on the respective machine
 // models.
-#include "driver/sweep.hpp"
-#include "harness.hpp"
 #include "logp/loggp.hpp"
-#include "micro.hpp"
+#include "tables.hpp"
+
+namespace spam::bench {
 
 namespace {
 
-using spam::logp::LogGpMachine;
-using spam::logp::LogGpParams;
+using logp::LogGpMachine;
+using logp::LogGpParams;
 
-double loggp_rtt_us(const LogGpParams& params) {
-  spam::sim::World w(2);
+// A LogGP world takes the cell's engine shortcuts, as an SpMachine takes
+// them from its SpParams.
+double loggp_rtt_us(const LogGpParams& params, Cell c) {
+  sim::World w(2);
+  w.engine().set_fastpath(c.fastpath);
+  w.engine().set_localclock(c.local_clock);
   LogGpMachine m(w, params);
   std::uint64_t flag0 = 0, flag1 = 0;
-  spam::sim::Time rtt = 0;
-  w.spawn(0, [&](spam::sim::NodeCtx& ctx) {
+  sim::Time rtt = 0;
+  w.spawn(0, [&](sim::NodeCtx& ctx) {
     for (std::uint64_t v = 1; v <= 3; ++v) {
       if (v == 2) rtt = ctx.now();
       m.ep(0).put_bytes(1, &flag1, &v, 8);
@@ -25,38 +29,41 @@ double loggp_rtt_us(const LogGpParams& params) {
     }
     rtt = (ctx.now() - rtt) / 2;
   });
-  w.spawn(1, [&](spam::sim::NodeCtx&) {
+  w.spawn(1, [&](sim::NodeCtx&) {
     for (std::uint64_t v = 1; v <= 3; ++v) {
       while (flag1 < v) m.ep(1).poll();
       m.ep(1).put_bytes(0, &flag0, &v, 8);
     }
   });
   w.run();
-  return spam::sim::to_usec(rtt);
+  return sim::to_usec(rtt);
 }
 
-double loggp_bw_mbps(const LogGpParams& params) {
-  spam::sim::World w(2);
+double loggp_bw_mbps(const LogGpParams& params, Cell c) {
+  sim::World w(2);
+  w.engine().set_fastpath(c.fastpath);
+  w.engine().set_localclock(c.local_clock);
   LogGpMachine m(w, params);
   const std::size_t len = 1 << 20;
   std::vector<std::byte> src(len, std::byte{3});
   std::vector<std::byte> dst(len, std::byte{0});
-  spam::sim::Time elapsed = 0;
-  w.spawn(0, [&](spam::sim::NodeCtx& ctx) {
-    const spam::sim::Time t0 = ctx.now();
+  sim::Time elapsed = 0;
+  w.spawn(0, [&](sim::NodeCtx& ctx) {
+    const sim::Time t0 = ctx.now();
     m.ep(0).put_bytes(1, dst.data(), src.data(), len);
     while (m.ep(0).outstanding() > 0) m.ep(0).poll();
     elapsed = ctx.now() - t0;
   });
   w.run();
-  return static_cast<double>(len) / spam::sim::to_sec(elapsed) / 1e6;
+  return static_cast<double>(len) / sim::to_sec(elapsed) / 1e6;
 }
 
-/// A LogGP measurement's cache key: its name, then every parameter.
-spam::driver::Hasher loggp_key(const char* what, const LogGpParams& p) {
-  spam::driver::Hasher h(what);
+/// A LogGP measurement's cache key: its name, every parameter, the cell.
+driver::Hasher loggp_key(const char* what, const LogGpParams& p, Cell c) {
+  driver::Hasher h(what);
   h.mix(p.o_send_us).mix(p.o_recv_us).mix(p.latency_us).mix(p.gap_us);
   h.mix(p.gap_per_byte_us).mix(p.cpu_scale).mix(p.poll_us);
+  h.mix(c.fastpath).mix(c.local_clock);
   return h;
 }
 
@@ -70,49 +77,45 @@ struct Row {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  spam::bench::harness_init(argc, argv);
-  return spam::bench::run_tables([] {
-    using spam::bench::cached;
-    using spam::report::fmt;
+std::string table4_machines(Cell c) {
+  using report::fmt;
 
-    const LogGpParams presets[] = {LogGpParams::cm5(),
-                                   LogGpParams::meiko_cs2(),
-                                   LogGpParams::unet_atm()};
-    const Row rows[] = {
-        {"TMC CM-5", "33 MHz Sparc-2", 3.0, 12.0, 10.0},
-        {"Meiko CS-2", "40 MHz SuperSparc", 11.0, 25.0, 39.0},
-        {"U-Net/ATM", "50/60 MHz Sparc-20", 3.0, 66.0, 14.0},
-    };
+  const LogGpParams presets[] = {LogGpParams::cm5(), LogGpParams::meiko_cs2(),
+                                 LogGpParams::unet_atm()};
+  const Row rows[] = {
+      {"TMC CM-5", "33 MHz Sparc-2", 3.0, 12.0, 10.0},
+      {"Meiko CS-2", "40 MHz SuperSparc", 11.0, 25.0, 39.0},
+      {"U-Net/ATM", "50/60 MHz Sparc-20", 3.0, 66.0, 14.0},
+  };
 
-    spam::report::Table tab(
-        "Table 4 — machine communication characteristics (paper / "
-        "measured)");
-    tab.set_header({"machine", "CPU", "overhead (us)", "round-trip (us)",
-                    "bandwidth (MB/s)"});
-    for (int i = 0; i < 3; ++i) {
-      const LogGpParams& p = presets[i];
-      const double rtt = cached(loggp_key("loggp_rtt_us", p),
-                                [p] { return loggp_rtt_us(p); });
-      const double bw = cached(loggp_key("loggp_bw_mbps", p),
-                               [p] { return loggp_bw_mbps(p); });
-      tab.add_row({rows[i].machine, rows[i].cpu,
-                   fmt(rows[i].paper_overhead_us) + " / " +
-                       fmt(p.o_send_us + p.o_recv_us),
-                   fmt(rows[i].paper_rtt_us) + " / " + fmt(rtt),
-                   fmt(rows[i].paper_bw) + " / " + fmt(bw)});
-    }
-    // The SP row uses the detailed TB2 model, not LogGP.
-    const double sp_overhead = spam::bench::am_request_cost_us(1) -
-                               spam::bench::am_poll_empty_us() +
-                               spam::bench::am_reply_cost_us(1);
-    tab.add_row({"IBM SP (SP AM)", "66 MHz Power2",
-                 fmt(3.0 + 1.4, 1) + "-ish / " + fmt(sp_overhead),
-                 fmt(51.0) + " / " + fmt(spam::bench::am_rtt_us(1)),
-                 fmt(34.0) + " / " +
-                     fmt(spam::bench::am_bandwidth_mbps(
-                         spam::bench::AmBwMode::kPipelinedAsyncStore,
-                         1 << 20))});
-    return tab.render();
-  });
+  report::Table tab(
+      "Table 4 — machine communication characteristics (paper / measured)");
+  tab.set_header({"machine", "CPU", "overhead (us)", "round-trip (us)",
+                  "bandwidth (MB/s)"});
+  for (int i = 0; i < 3; ++i) {
+    const LogGpParams& p = presets[i];
+    const double rtt = cached(loggp_key("loggp_rtt_us", p, c),
+                              [p, c] { return loggp_rtt_us(p, c); });
+    const double bw = cached(loggp_key("loggp_bw_mbps", p, c),
+                             [p, c] { return loggp_bw_mbps(p, c); });
+    tab.add_row({rows[i].machine, rows[i].cpu,
+                 fmt(rows[i].paper_overhead_us) + " / " +
+                     fmt(p.o_send_us + p.o_recv_us),
+                 fmt(rows[i].paper_rtt_us) + " / " + fmt(rtt),
+                 fmt(rows[i].paper_bw) + " / " + fmt(bw)});
+  }
+  // The SP row uses the detailed TB2 model, not LogGP.
+  const double sp_overhead = am_request_cost_us(1, hw(c)) -
+                             am_poll_empty_us(hw(c)) +
+                             am_reply_cost_us(1, hw(c));
+  tab.add_row(
+      {"IBM SP (SP AM)", "66 MHz Power2",
+       fmt(3.0 + 1.4, 1) + "-ish / " + fmt(sp_overhead),
+       fmt(51.0) + " / " + fmt(am_rtt_us(1, hw(c))),
+       fmt(34.0) + " / " +
+           fmt(am_bandwidth_mbps(AmBwMode::kPipelinedAsyncStore, 1 << 20,
+                                 hw(c)))});
+  return tab.render();
 }
+
+}  // namespace spam::bench

@@ -84,7 +84,7 @@ std::vector<BenchDef> bench_defs() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  spam::bench::harness_init(argc, argv);
+  const int jobs = spam::bench::harness_init(argc, argv);
 
   const auto mach = machines();
   const auto defs = bench_defs();
@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
   std::vector<std::vector<PhaseTimes>> results(
       defs.size(), std::vector<PhaseTimes>(mach.size()));
 
-  spam::driver::SweepRunner(spam::bench::jobs())
+  spam::driver::SweepRunner(jobs)
       .run_indexed(defs.size() * mach.size(), [&](std::size_t i) {
         const std::size_t b = i / mach.size();
         const std::size_t m = i % mach.size();

@@ -51,13 +51,13 @@ std::vector<Kernel> kernels() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  spam::bench::harness_init(argc, argv);
+  const int jobs = spam::bench::harness_init(argc, argv);
 
   const auto ks = kernels();
   // (kernel x impl) results, filled by the parallel sweep.
   std::vector<NasResult> am_res(ks.size()), f_res(ks.size());
 
-  spam::driver::SweepRunner(spam::bench::jobs())
+  spam::driver::SweepRunner(jobs)
       .run_indexed(ks.size() * 2, [&](std::size_t j) {
         const std::size_t i = j / 2;
         if (j % 2 == 0) {

@@ -13,8 +13,6 @@ namespace spam::bench {
 
 namespace {
 
-int g_jobs = 0;
-
 [[noreturn]] void usage_error(const char* prog, const char* what,
                               const char* arg) {
   std::fprintf(stderr,
@@ -26,7 +24,8 @@ int g_jobs = 0;
 
 }  // namespace
 
-void harness_init(int argc, char** argv) {
+int harness_init(int argc, char** argv) {
+  int jobs = 0;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     const char* v = nullptr;
@@ -43,11 +42,10 @@ void harness_init(int argc, char** argv) {
     if (*v == '\0' || *end != '\0' || n < 0 || n > INT_MAX) {
       usage_error(argv[0], "--jobs needs a non-negative integer, got", v);
     }
-    g_jobs = static_cast<int>(n);
+    jobs = static_cast<int>(n);
   }
+  return jobs;
 }
-
-int jobs() { return g_jobs; }
 
 Regeneration regenerate(const std::function<std::string()>& tables,
                         int jobs) {
@@ -64,33 +62,22 @@ Regeneration regenerate(const std::function<std::string()>& tables,
   return r;
 }
 
-int run_tables(const std::function<std::string()>& tables) {
-  const Regeneration r = regenerate(tables, g_jobs);
-  if (r.print_misses != 0) {
-    std::fprintf(stderr,
-                 "print pass missed the cache %llu time(s): the table code "
-                 "read points its record pass did not\n",
-                 static_cast<unsigned long long>(r.print_misses));
-    return 1;
-  }
-  std::fwrite(r.text.data(), 1, r.text.size(), stdout);
-  return 0;
-}
-
-report::Table fig3_table(const std::vector<std::size_t>& sizes) {
+report::Table fig3_table(const std::vector<std::size_t>& sizes,
+                         sphw::SpParams hw) {
   report::Table tab("Figure 3 — bandwidth of bulk transfers (MB/s)");
   tab.set_header({"bytes", "sync store", "sync get", "MPL blocking",
                   "async store", "async get", "MPL pipelined"});
   for (std::size_t s : sizes) {
     tab.add_row({std::to_string(s),
-                 report::fmt(am_bandwidth_mbps(AmBwMode::kSyncStore, s)),
-                 report::fmt(am_bandwidth_mbps(AmBwMode::kSyncGet, s)),
-                 report::fmt(mpl_bandwidth_mbps(MplBwMode::kBlocking, s)),
+                 report::fmt(am_bandwidth_mbps(AmBwMode::kSyncStore, s, hw)),
+                 report::fmt(am_bandwidth_mbps(AmBwMode::kSyncGet, s, hw)),
+                 report::fmt(mpl_bandwidth_mbps(MplBwMode::kBlocking, s, hw)),
                  report::fmt(
-                     am_bandwidth_mbps(AmBwMode::kPipelinedAsyncStore, s)),
+                     am_bandwidth_mbps(AmBwMode::kPipelinedAsyncStore, s, hw)),
                  report::fmt(
-                     am_bandwidth_mbps(AmBwMode::kPipelinedAsyncGet, s)),
-                 report::fmt(mpl_bandwidth_mbps(MplBwMode::kPipelined, s))});
+                     am_bandwidth_mbps(AmBwMode::kPipelinedAsyncGet, s, hw)),
+                 report::fmt(
+                     mpl_bandwidth_mbps(MplBwMode::kPipelined, s, hw))});
   }
   return tab;
 }

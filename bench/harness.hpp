@@ -1,22 +1,19 @@
 // Shared argv / parallel-sweep plumbing for the bench binaries.
 //
-// Every scalar bench main follows the same shape:
-//
-//   int main(int argc, char** argv) {
-//     spam::bench::harness_init(argc, argv);    // --jobs; exits 2 on others
-//     return spam::bench::run_tables([] { ... return the tables' text; });
-//   }
-//
-// The table function is the only list of the bench's points; run_tables()
-// calls it twice.  The record pass computes nothing: each cached() miss
-// (bench/micro.hpp) is recorded and reads a placeholder, and the text is
-// dropped.  The recorded points then run across --jobs host threads on
-// driver::SweepRunner, each in its own shared-nothing sim::World, filling
-// the process-wide driver::ResultCache.  The print pass runs the table
-// function again and prints its text; a cache miss there means the passes
-// read different points, and the bench exits 1.  The printed bytes are
-// identical for any --jobs setting (tests/golden/<bench>.txt pins them).
-// Table 5 and Table 6, whose points are structs, run their own sweep.
+// A scalar bench is one table function of bench/tables.hpp; bench/main.cpp
+// calls harness_init() for --jobs, then regenerate() on the table function
+// in production and prints its text.  The table function is the only list
+// of the bench's points; regenerate() calls it twice.  The record pass
+// computes nothing: each cached() miss (bench/micro.hpp) is recorded and
+// reads a placeholder, and the text is dropped.  The recorded points then
+// run across --jobs host threads on driver::SweepRunner, each in its own
+// shared-nothing sim::World, filling the process-wide driver::ResultCache.
+// The print pass runs the table function again; a cache miss there means
+// the passes read different points, and the bench exits 1.  The printed
+// bytes are identical for any --jobs setting (tests/golden/<bench>.txt
+// pins them) and in every mode cell (ModeEquivalence compares each
+// point).  Table 5 and Table 6, whose points are structs, have mains of
+// their own that run their own sweep.
 #pragma once
 
 #include <cstddef>
@@ -32,13 +29,12 @@
 
 namespace spam::bench {
 
-/// Parses argv: only `--jobs N` or `--jobs=N` (host threads for the
-/// parallel phase, N >= 0).  Anything else — an unknown argument, a
-/// missing, non-numeric or negative N — prints usage and exits 2.
-void harness_init(int argc, char** argv);
-
-/// The --jobs value; <= 0 selects hardware_concurrency.
-int jobs();
+/// Parses argv and returns the --jobs value (host threads for the
+/// parallel phase; 0, the default, selects hardware_concurrency).  Only
+/// `--jobs N` or `--jobs=N` is accepted; anything else — an unknown
+/// argument, a missing, non-numeric or negative N — prints usage and
+/// exits 2.
+int harness_init(int argc, char** argv);
 
 /// What the record → parallel → print entry produced.
 struct Regeneration {
@@ -50,16 +46,13 @@ struct Regeneration {
 Regeneration regenerate(const std::function<std::string()>& tables,
                         int jobs);
 
-/// regenerate() at --jobs for a bench main: writes the text to stdout and
-/// returns 0, or reports the print pass's miss count and returns 1.
-int run_tables(const std::function<std::string()>& tables);
-
 // --- Figure 3 ---------------------------------------------------------------
 // Used by bench_fig3_bandwidth, tools/spamsim, and the serial-vs-parallel
 // determinism test (SweepDeterminism.*), so all three agree on the bytes.
 
-/// The rendered Figure 3 table for `sizes`: six curves per size.
-report::Table fig3_table(const std::vector<std::size_t>& sizes);
+/// The rendered Figure 3 table for `sizes` on `hw` nodes (six curves).
+report::Table fig3_table(const std::vector<std::size_t>& sizes,
+                         sphw::SpParams hw = sphw::SpParams::thin_node());
 
 // --- Figures 8-11 -----------------------------------------------------------
 

@@ -396,35 +396,38 @@ static double mpi_bandwidth_mbps_raw(const mpi::MpiWorldConfig& cfg,
 
 static double am_store_hop_latency_us_raw(std::size_t bytes,
                                           sphw::SpParams hw) {
-  // Reference curve: one-way am_store delivery time, measured at the
-  // receiving handler, averaged over a short train.
+  // Reference curve: one-way am_store time from the store() call on node 0
+  // to the bulk handler on node 1, averaged over a short train.  The handler
+  // replies, so each node waits only on its own endpoint (poll_until).
   AmFixture f(2, hw, {});
   am::Endpoint& e0 = f.net.ep(0);
   am::Endpoint& e1 = f.net.ep(1);
   auto src = filled(std::max<std::size_t>(bytes, 1));
   std::vector<std::byte> dst(src.size());
-  int arrived = 0;
+  int replies = 0, served = 0;
+  sim::Time sent_at = 0, one_way = 0;
+  const int h_reply = e0.register_handler(
+      [&](am::Endpoint&, am::Token, const am::Word*, int) { ++replies; });
   const int h = e1.register_bulk_handler(
-      [&](am::Endpoint&, am::Token, void*, std::size_t, am::Word) {
-        ++arrived;
+      [&, h_reply](am::Endpoint& ep, am::Token t, void*, std::size_t,
+                   am::Word) {
+        one_way += ep.ctx().now() - sent_at;
+        ++served;
+        ep.reply_1(t, h_reply, 0);
       });
-  sim::Time total = 0;
   constexpr int kIters = 4;
   f.world.spawn(0, [&](sim::NodeCtx& ctx) {
-    const sim::Time t0 = ctx.now();
     for (int i = 0; i < kIters; ++i) {
+      sent_at = ctx.now();
       e0.store(1, dst.data(), src.data(), bytes, h, 0);
-      e0.poll_until([&] { return arrived > i; });
+      e0.poll_until([&] { return replies > i; });
     }
-    total = ctx.now() - t0;
   });
   f.world.spawn(1, [&](sim::NodeCtx&) {
-    e1.poll_until([&] { return arrived >= kIters; });
+    e1.poll_until([&] { return served >= kIters; });
   });
   f.world.run();
-  // The measured loop is send + remote-handler + ack; report half of the
-  // store round as the hop value, mirroring the figures' am_store line.
-  return sim::to_usec(total) / kIters / 2.0;
+  return sim::to_usec(one_way) / kIters;
 }
 
 double am_store_bandwidth_mbps(std::size_t bytes, sphw::SpParams hw) {

@@ -116,6 +116,12 @@ class Endpoint {
   /// merges runs of provably empty polls into one wait of identical total
   /// virtual time (see merge_empty_polls), so per-poll wake events
   /// disappear while every observable instant stays bit-identical.
+  ///
+  /// The known breach is a cross-node counter: a predicate on a variable
+  /// another node's handler bumps.  No poll here changes it, so a merged
+  /// wait can end later than the per-hop reference's (a multi-chunk
+  /// am_store timed that way read 152.3 us, 148.8 us with the fast path
+  /// off).  Wait for a reply on this endpoint instead.
   template <typename Pred>
   void poll_until(Pred&& done) {
     while (!done()) {

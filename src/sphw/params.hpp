@@ -56,16 +56,16 @@ struct SpParams {
   /// fused delivery event instead of the per-hop chain, and idle elapses
   /// skip the wake timer.  Arrival times are bit-identical by construction
   /// (same sim::Time arithmetic, same order of additions); flip off to run
-  /// the reference per-hop simulation (ModeEquivalence,
-  /// tests/test_mode_equivalence.cpp, does this).
+  /// the reference per-hop simulation (tests/test_mode_equivalence.cpp
+  /// does this for every point of every paper table and figure).
   bool network_fastpath = true;
 
   /// Node-local virtual clocks: NodeCtx::charge() defers compute charges
   /// into a per-node debt ledger, settled as one engine sleep at the next
   /// interaction point (communication, suspend, trace, cross-node now()).
   /// Virtual times are bit-identical by construction; flip off to force
-  /// every charge through the engine (ModeEquivalence,
-  /// tests/test_mode_equivalence.cpp, does this).
+  /// every charge through the engine (tests/test_mode_equivalence.cpp
+  /// does this for every point of every paper table and figure).
   /// Independent of network_fastpath so the shortcuts compare in
   /// isolation.
   bool local_clock = true;

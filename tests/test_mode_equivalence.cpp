@@ -5,13 +5,12 @@
 // instead of the per-hop reference event chain) and `local_clock` (charges
 // accumulate into a per-node debt ledger that materializes as one engine
 // event at the next interaction point, instead of one engine elapse per
-// charge).  Production runs with both on.  Every table/figure workload of
-// the paper reproduction runs in each of the other three cells — (on,off),
-// (off,on) and (off,off) — and must equal the production cell bit for bit:
-// doubles are compared with EXPECT_EQ (exact bits, not a tolerance) and
-// Figure 3 as a rendered table.  The Table 5/6 apps are also run warm —
-// three repetitions in one world — and the third must match and allocate
-// nothing in either cell.
+// charge).  Production runs with both on.  Every paper output runs in each
+// of the other three cells — (on,off), (off,on) and (off,off) — and must
+// equal production bit for bit: each scalar bench's table function
+// (bench/tables.hpp) whole, point by point and as text, and the Table 5/6
+// apps case by case, also warm — three repetitions in one world, where the
+// third must match and allocate nothing in either cell.
 //
 // The suite ends with two seeded single-knob fuzzers: a congestion fuzz
 // that forces mid-flight fast-path disengagement, and a clock fuzz over
@@ -21,7 +20,6 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <iomanip>
 #include <ostream>
@@ -32,41 +30,22 @@
 
 #include "apps/nas.hpp"
 #include "apps/splitc_apps.hpp"
-#include "harness.hpp"
-#include "micro.hpp"
 #include "sim/trace.hpp"
 #include "sim/world.hpp"
 #include "sphw/machine.hpp"
+#include "tables.hpp"
 
 namespace spam {
 namespace {
 
-/// One cell of (network_fastpath, local_clock).
-struct Cell {
-  bool fastpath;
-  bool local_clock;
-};
+using bench::Cell;
+using bench::hw;
+using bench::kProduction;
 
-constexpr Cell kProduction{true, true};
-
-sphw::SpParams hw(Cell c, bool wide_nodes = false) {
-  sphw::SpParams p = wide_nodes ? sphw::SpParams::wide_node()
-                                : sphw::SpParams::thin_node();
-  p.network_fastpath = c.fastpath;
-  p.local_clock = c.local_clock;
-  return p;
-}
-
-mpi::MpiWorldConfig mpi_cfg(mpi::MpiImpl impl, Cell c,
-                            bool wide_nodes = false) {
+/// Table 6's world: the default four optimized MPI-AM nodes, in cell `c`.
+mpi::MpiWorldConfig nas_cfg(Cell c) {
   mpi::MpiWorldConfig cfg;
-  cfg.impl = impl;
-  cfg.nodes = 4;
-  cfg.hw = hw(c, wide_nodes);
-  if (impl == mpi::MpiImpl::kMpiF) {
-    cfg.f_cfg =
-        wide_nodes ? mpif::MpiFConfig::wide() : mpif::MpiFConfig::thin();
-  }
+  cfg.hw = hw(c);
   return cfg;
 }
 
@@ -79,6 +58,14 @@ splitc::SplitCConfig splitc_cfg(Cell c, splitc::Backend backend =
   return cfg;
 }
 
+const auto kOtherCells = ::testing::Values(Cell{true, false}, Cell{false, true},
+                                           Cell{false, false});
+
+std::string cell_name(Cell c) {
+  return std::string(c.fastpath ? "FastpathOn" : "FastpathOff") +
+         (c.local_clock ? "_LocalClockOn" : "_LocalClockOff");
+}
+
 class ModeEquivalence : public ::testing::TestWithParam<Cell> {
  protected:
   /// Runs `f` in this case's cell and in production; both must be equal.
@@ -88,125 +75,58 @@ class ModeEquivalence : public ::testing::TestWithParam<Cell> {
   }
 };
 
+INSTANTIATE_TEST_SUITE_P(Cells, ModeEquivalence, kOtherCells,
+                         [](const ::testing::TestParamInfo<Cell>& info) {
+                           return cell_name(info.param);
+                         });
+
+// --- Every scalar bench, whole ----------------------------------------------
+
+// An index into kBenches: a pointer's bytes would end up in the ctest name.
+class BenchModeEquivalence
+    : public ::testing::TestWithParam<std::tuple<std::size_t, Cell>> {};
+
 INSTANTIATE_TEST_SUITE_P(
-    Cells, ModeEquivalence,
-    ::testing::Values(Cell{true, false}, Cell{false, true},
-                      Cell{false, false}),
-    [](const ::testing::TestParamInfo<Cell>& info) {
-      return std::string(info.param.fastpath ? "FastpathOn" : "FastpathOff") +
-             (info.param.local_clock ? "_LocalClockOn" : "_LocalClockOff");
+    Benches, BenchModeEquivalence,
+    ::testing::Combine(::testing::Range<std::size_t>(
+                           0, std::size(bench::kBenches)),
+                       kOtherCells),
+    [](const auto& info) {
+      std::string name = bench::kBenches[std::get<0>(info.param)].name;
+      return name.append("_").append(cell_name(std::get<1>(info.param)));
     });
 
-// --- Table 2: AM primitive overheads ----------------------------------------
-
-TEST_P(ModeEquivalence, Table2AmOverheads) {
-  expect_same_as_production([](Cell c) {
-    std::vector<double> us;
-    for (int words = 1; words <= 4; ++words) {
-      us.push_back(bench::am_request_cost_us(words, hw(c)));
-      us.push_back(bench::am_reply_cost_us(words, hw(c)));
-    }
-    us.push_back(bench::am_poll_empty_us(hw(c)));
-    us.push_back(bench::am_poll_per_msg_us(hw(c)));
-    return us;
-  });
+TEST_P(BenchModeEquivalence, EveryPointAndText) {
+  const auto [index, cell] = GetParam();
+  const bench::BenchTables& b = bench::kBenches[index];
+  driver::ResultCache& cache = driver::ResultCache::instance();
+  cache.clear();  // both record passes must see every point as a miss
+  const auto points = bench::record_points([&] { b.tables(cell); });
+  const auto prod = bench::record_points([&] { b.tables(kProduction); });
+  ASSERT_EQ(points.size(), prod.size());
+  ASSERT_FALSE(points.empty());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    // A point the cell did not reach would compare production with itself.
+    EXPECT_NE(points[i].key, prod[i].key) << "point " << i;
+    const double v = cache.memoize(points[i].key, points[i].compute);
+    const double want = cache.memoize(prod[i].key, prod[i].compute);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(v),
+              std::bit_cast<std::uint64_t>(want))
+        << "point " << i << ": " << std::setprecision(17) << v << " vs "
+        << want;
+  }
+  const std::uint64_t misses = cache.stats().misses;
+  EXPECT_EQ(b.tables(cell), b.tables(kProduction));
+  EXPECT_EQ(cache.stats().misses, misses);  // the texts read only points
 }
 
-// --- Table 3 / Table 4: round-trip latencies, thin and wide nodes -----------
+// --- Table 3 / Table 4: the round trips no bench prints ---------------------
 
 TEST_P(ModeEquivalence, Table3And4RoundTrips) {
   expect_same_as_production([](Cell c) {
-    std::vector<double> us;
-    for (int words = 1; words <= 4; ++words) {
-      us.push_back(bench::am_rtt_us(words, hw(c)));
-    }
-    us.push_back(bench::raw_rtt_us(hw(c)));
-    us.push_back(bench::mpl_rtt_us(hw(c)));
-    // Table 4's wide-node (model-590) column.
-    us.push_back(bench::am_rtt_us(1, hw(c, /*wide_nodes=*/true)));
-    us.push_back(bench::mpl_rtt_us(hw(c, /*wide_nodes=*/true)));
-    return us;
-  });
-}
-
-// --- Figure 3: the bandwidth sweep, rendered byte-identically ----------------
-
-TEST_P(ModeEquivalence, Fig3BandwidthTableByteIdentical) {
-  expect_same_as_production([](Cell c) {
-    report::Table t("Figure 3: AM/MPL bandwidth vs transfer size");
-    t.set_header({"bytes", "store", "get", "async store", "async get",
-                  "mpl block", "mpl pipe"});
-    auto cell = [](double v) {
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "%.6f", v);
-      return std::string(buf);
-    };
-    for (std::size_t s : {16, 512, 8192, 65536, 1 << 20}) {
-      t.add_row(
-          {std::to_string(s),
-           cell(bench::am_bandwidth_mbps(bench::AmBwMode::kSyncStore, s,
-                                         hw(c))),
-           cell(bench::am_bandwidth_mbps(bench::AmBwMode::kSyncGet, s,
-                                         hw(c))),
-           cell(bench::am_bandwidth_mbps(
-               bench::AmBwMode::kPipelinedAsyncStore, s, hw(c))),
-           cell(bench::am_bandwidth_mbps(bench::AmBwMode::kPipelinedAsyncGet,
-                                         s, hw(c))),
-           cell(bench::mpl_bandwidth_mbps(bench::MplBwMode::kBlocking, s,
-                                          hw(c))),
-           cell(bench::mpl_bandwidth_mbps(bench::MplBwMode::kPipelined, s,
-                                          hw(c)))});
-    }
-    return t.render();
-  });
-}
-
-// --- Figure 7: MPI protocol regimes -----------------------------------------
-
-TEST_P(ModeEquivalence, Fig7ProtocolCurves) {
-  expect_same_as_production([](Cell c) {
-    std::vector<double> mbps;
-    for (int which = 0; which < 3; ++which) {
-      mpi::MpiWorldConfig cfg = mpi_cfg(mpi::MpiImpl::kAmOptimized, c);
-      cfg.am_cfg = mpi::MpiAmConfig::opt();
-      if (which == 0) {  // buffered: everything eager
-        cfg.am_cfg.peer_buffer_bytes = 256 * 1024;
-        cfg.am_cfg.eager_max = 200 * 1024;
-        cfg.am_cfg.hybrid = false;
-      } else if (which == 1) {  // rendezvous: nothing eager
-        cfg.am_cfg.eager_max = 0;
-        cfg.am_cfg.hybrid = false;
-      } else {  // hybrid path for every message
-        cfg.am_cfg.eager_max = 0;
-        cfg.am_cfg.hybrid = true;
-      }
-      for (std::size_t s : {512, 8192}) {
-        mbps.push_back(bench::mpi_bandwidth_mbps(cfg, s));
-      }
-    }
-    return mbps;
-  });
-}
-
-// --- Figures 8-11: MPI latency/bandwidth, thin and wide nodes ---------------
-
-TEST_P(ModeEquivalence, Fig8To11MpiCurves) {
-  expect_same_as_production([](Cell c) {
-    using mpi::MpiImpl;
-    std::vector<double> v;
-    for (bool wide_nodes : {false, true}) {
-      for (auto impl :
-           {MpiImpl::kAmOptimized, MpiImpl::kAmUnoptimized, MpiImpl::kMpiF}) {
-        const mpi::MpiWorldConfig cfg = mpi_cfg(impl, c, wide_nodes);
-        v.push_back(bench::mpi_hop_latency_us(cfg, 16));
-        v.push_back(bench::mpi_hop_latency_us(cfg, 4096));
-        v.push_back(bench::mpi_bandwidth_mbps(cfg, 65536));
-      }
-      // The raw am_store reference curves drawn alongside the MPI data.
-      v.push_back(bench::am_store_hop_latency_us(1024, hw(c, wide_nodes)));
-      v.push_back(bench::am_store_bandwidth_mbps(65536, hw(c, wide_nodes)));
-    }
-    return v;
+    return std::vector<double>{
+        bench::am_rtt_us(2, hw(c)), bench::am_rtt_us(3, hw(c)),
+        bench::mpl_rtt_us(hw(c, /*wide_nodes=*/true))};
   });
 }
 
@@ -277,7 +197,7 @@ TEST_P(ModeEquivalence, Table6NasKernels) {
   expect_same_as_production([](Cell c) {
     std::vector<std::tuple<bool, double, double>> runs;
     for (const NasKernel& k : kNasKernels) {
-      mpi::MpiWorld w(mpi_cfg(mpi::MpiImpl::kAmOptimized, c));
+      mpi::MpiWorld w(nas_cfg(c));
       const apps::NasResult r = k.run(w, k.n, /*iters=*/1);
       EXPECT_TRUE(r.finished) << k.name;
       runs.emplace_back(r.finished, r.checksum, r.time_s);
@@ -374,7 +294,7 @@ TEST_P(ModeEquivalence, WarmTable6NasThirdRep) {
   for (const NasKernel& k : kNasKernels) {
     SCOPED_TRACE(k.name);
     expect_same_as_production([&](Cell c) {
-      mpi::MpiWorld w(mpi_cfg(mpi::MpiImpl::kAmOptimized, c));
+      mpi::MpiWorld w(nas_cfg(c));
       return third_rep(w.world().engine(),
                        [&] { return from_nas(k.run(w, k.n, /*iters=*/1)); });
     });

@@ -18,7 +18,7 @@
 #                  + full ctest suite, which holds the virtual-time
 #                  anchors, zero steady-state allocation, mode identity and
 #                  every paper output
-#                  (SteadyState.*, ModeEquivalence.*, Golden.*)
+#                  (SteadyState.*, *ModeEquivalence.*, Golden.*, Example.*)
 #   perfbench      builds the separate host-time benchmark package
 #                  (.bench_build/perfbench) against the current src/, runs
 #                  a 1 s am_micro pass (checks both anchors and every

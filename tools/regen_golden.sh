@@ -5,8 +5,8 @@
 #
 # A golden changes only when a virtual result changes on purpose; name
 # every regenerated file in CHANGES.md.  A new bench gets its Golden.<name>
-# case from its spam_add_bench target and fails until its file is created
-# once with `tools/golden.sh build NAME > tests/golden/NAME.txt`.
+# case from its target in bench/CMakeLists.txt and fails until its file is
+# created once with `tools/golden.sh build NAME > tests/golden/NAME.txt`.
 set -euo pipefail
 
 root=$(cd "$(dirname "$0")/.." && pwd)

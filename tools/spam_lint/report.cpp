@@ -14,7 +14,7 @@ std::string itoa(int v) {
   return buf;
 }
 
-std::string q(const std::string& s) { return "\"" + json_escape(s) + "\""; }
+std::string q(const std::string& s) { return '"' + json_escape(s) + '"'; }
 
 }  // namespace
 

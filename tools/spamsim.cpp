@@ -98,6 +98,7 @@ const std::map<std::string, std::set<std::string>> kChoices = {
     {"kind", {"sample", "radix"}},
     {"kernel", {"bt", "ft", "lu", "mg", "sp"}},
     {"sizes", {"full", "quick"}},
+    {"words", {"1", "2", "3", "4"}},
 };
 
 // Flags without a fixed set of choices take a non-negative number.
