@@ -190,7 +190,7 @@ SPAM_HOT void Engine::at(Time t, Action fn) {
 SPAM_HOT bool Engine::try_skip_elapse(Time d) {
   if (!fastpath_ || stopped_) return false;
   const Time target = now_ + d;
-  if (run_deadline_ == 0 || target > run_deadline_) return false;
+  if (target > run_deadline_) return false;
   // Exact peek (drains calendar buckets as needed).  An event at exactly
   // `target` must still deny: per-hop mode would run it before the wake
   // timer (its seq is smaller — it was already queued).
@@ -213,27 +213,21 @@ SPAM_HOT bool Engine::step() {
   return true;
 }
 
-SPAM_HOT std::uint64_t Engine::run() {
-  stopped_ = false;
-  run_deadline_ = kTimeMax;
-  std::uint64_t n = 0;
-  while (!stopped_ && step()) ++n;
-  run_deadline_ = 0;
-  return n;
+SPAM_HOT bool Engine::due() {
+  if (stopped_) return false;
+  const Node* f = front();  // exact peek: drains buckets up to the global min
+  return f != nullptr && f->t <= run_deadline_;
 }
 
+std::uint64_t Engine::run() { return run_until(kTimeMax); }
+
 SPAM_HOT std::uint64_t Engine::run_until(Time deadline) {
+  const std::uint64_t start = executed_;
   stopped_ = false;
   run_deadline_ = deadline;
-  std::uint64_t n = 0;
-  while (!stopped_) {
-    Node* f = front();  // exact peek: drains buckets up to the global min
-    if (f == nullptr || f->t > deadline) break;
-    step();
-    ++n;
-  }
-  run_deadline_ = 0;
-  return n;
+  while (due()) step();
+  stopped_ = true;
+  return executed_ - start;
 }
 
 }  // namespace spam::sim

@@ -58,12 +58,19 @@ class Engine {
   void after(Time delay, Action fn) { at(now_ + delay, std::move(fn)); }
 
   /// Runs events until the queue drains or stop() is called.
-  /// Returns the number of events executed.
+  /// Returns the number of events executed, including those a hosted
+  /// fiber loop (sim::Fiber::host) ran on fiber stacks.
   std::uint64_t run();
 
   /// Runs until the clock would pass `deadline`; events at exactly
-  /// `deadline` still execute.  Returns events executed.
+  /// `deadline` still execute.  Returns events executed, as run() does.
   std::uint64_t run_until(Time deadline);
+
+  /// True while the active run()/run_until() has an event left to
+  /// execute: not stopped, and the earliest event (exact peek) exists and
+  /// is within the run's deadline.  The one loop test, on the main stack
+  /// and on every fiber stack that hosts the loop.
+  bool due();
 
   /// Executes the single earliest event.  Returns false if queue empty.
   bool step();
@@ -175,12 +182,13 @@ class Engine {
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  bool stopped_ = false;
+  // True outside run()/run_until() and after stop(): nothing is due.
+  bool stopped_ = true;
   bool fastpath_ = true;
   bool localclock_ = true;
-  // Deadline of the active run()/run_until() (0 when not running): a
-  // skipped elapse must not move the clock past the point where control
-  // would have returned to the caller.
+  // Deadline of the active run()/run_until(): a skipped elapse must not
+  // move the clock past the point where control would have returned to
+  // the caller.
   Time run_deadline_ = 0;
 };
 

@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <utility>
 
+#include "sim/engine.hpp"
+
 #if defined(SPAM_SIM_TSAN_FIBERS)
 #include <sanitizer/tsan_interface.h>
 #endif
@@ -12,15 +14,29 @@
 namespace spam::sim {
 namespace {
 
-thread_local Fiber* g_current = nullptr;
-// Per-thread so concurrent driver Worlds don't race; see resume_count().
-thread_local std::uint64_t g_resumes = 0;
+// This thread's scheduling state.  Per-thread so concurrent driver Worlds
+// don't race; every field is reloaded after each switch (the switch is an
+// opaque call), never cached across one.
+struct Scheduler {
+  Fiber* current = nullptr;  // fiber whose program runs (Fiber::current)
+  Fiber* on_stack = nullptr;  // fiber whose stack executes; nullptr: main
+  Engine* hosted = nullptr;   // event loop yield() runs (Fiber::host)
+  std::uint64_t resumes = 0;   // see resume_count()
+  std::uint64_t switches = 0;  // see stack_switches()
+#if defined(SPAM_SIM_UCONTEXT_FIBER)
+  ucontext_t main_ctx{};  // main context while a fiber stack executes
+#else
+  void* main_sp = nullptr;  // main stack pointer while a fiber executes
+#endif
+#if defined(SPAM_SIM_TSAN_FIBERS)
+  void* main_tsan = nullptr;  // TSan fiber of the main stack
+#endif
+};
+
+thread_local Scheduler g_sched;
 
 }  // namespace
 
-// TSan fiber bookkeeping.  The switch announcements live in the header
-// (force-inlined into the switching frames); only destruction is out of
-// line — no stack switch happens around it.
 #if defined(SPAM_SIM_TSAN_FIBERS)
 void Fiber::tsan_destroy() {
   if (tsan_fiber_ != nullptr) {
@@ -44,11 +60,101 @@ Fiber::~Fiber() {
   tsan_destroy();
 }
 
-Fiber* Fiber::current() { return g_current; }
+Fiber* Fiber::current() { return g_sched.current; }
 
-std::uint64_t Fiber::resume_count() { return g_resumes; }
+void Fiber::host(Engine* engine) { g_sched.hosted = engine; }
 
-void Fiber::run_body() { body_(); }
+std::uint64_t Fiber::resume_count() { return g_sched.resumes; }
+
+std::uint64_t Fiber::stack_switches() { return g_sched.switches; }
+
+#if !defined(SPAM_SIM_UCONTEXT_FIBER)
+extern "C" void spam_sim_fiber_switch(void** save_sp, void* load_sp);
+#endif
+
+__attribute__((always_inline)) inline void Fiber::switch_stack(Fiber* from,
+                                                                Fiber* to) {
+  Scheduler& s = g_sched;
+  ++s.switches;
+  s.on_stack = to;
+#if defined(SPAM_SIM_TSAN_FIBERS)
+  if (from == nullptr) s.main_tsan = __tsan_get_current_fiber();
+  if (to != nullptr && to->tsan_fiber_ == nullptr)
+    to->tsan_fiber_ = __tsan_create_fiber(0);
+  __tsan_switch_to_fiber(to != nullptr ? to->tsan_fiber_ : s.main_tsan, 0);
+#endif
+#if defined(SPAM_SIM_UCONTEXT_FIBER)
+  swapcontext(from != nullptr ? &from->ctx_ : &s.main_ctx,
+              to != nullptr ? &to->ctx_ : &s.main_ctx);
+#else
+  spam_sim_fiber_switch(from != nullptr ? &from->sp_ : &s.main_sp,
+                        to != nullptr ? to->sp_ : s.main_sp);
+#endif
+}
+
+void Fiber::resume() {
+  assert(g_sched.current == nullptr &&
+         "resume() must be called from an event or the main context");
+  assert(state_ != State::kFinished && "cannot resume a finished fiber");
+  assert(state_ != State::kRunning);
+
+  ++g_sched.resumes;
+#if defined(SPAM_SIM_UCONTEXT_FIBER)
+  if (state_ == State::kCreated) {
+    getcontext(&ctx_);
+    ctx_.uc_stack.ss_sp = stack_.get();
+    ctx_.uc_stack.ss_size = stack_bytes_;
+    ctx_.uc_link = nullptr;  // the trampoline never returns
+    const auto p = reinterpret_cast<std::uintptr_t>(this);
+    makecontext(&ctx_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 2,
+                static_cast<unsigned>(p >> 32),
+                static_cast<unsigned>(p & 0xffffffffu));
+  }
+#else
+  if (state_ == State::kCreated) prepare_stack();
+#endif
+  state_ = State::kRunning;
+  // An event this fiber hosts woke it: host_events() returns into yield()
+  // once the event does, with no switch.
+  if (g_sched.on_stack != this) switch_stack(g_sched.on_stack, this);
+}
+
+void Fiber::yield() {
+  Fiber* self = g_sched.current;
+  assert(self != nullptr && "yield() must be called from inside a fiber");
+  assert(self == g_sched.on_stack);
+  self->state_ = State::kSuspended;
+  g_sched.current = nullptr;
+  self->host_events();
+  g_sched.current = self;
+}
+
+// Runs the hosted event loop on this fiber's stack until an event wakes
+// the fiber (forever once it has finished).  Control leaves the stack
+// inside resume() when an event wakes another fiber, and here when the
+// run has nothing due; either way it comes back only through a wake of
+// this fiber, which ends the loop.
+void Fiber::host_events() {
+  while (state_ != State::kRunning) {
+    Engine* loop = g_sched.hosted;
+    if (loop != nullptr && loop->due()) {
+      loop->step();
+    } else {
+      switch_stack(this, nullptr);
+    }
+  }
+}
+
+void Fiber::run_body() {
+  g_sched.current = this;
+  body_();
+  // Finished: keep dispatching on this dead stack until an event hands
+  // control to another fiber, or the run ends, for good.
+  state_ = State::kFinished;
+  g_sched.current = nullptr;
+  host_events();
+  std::abort();  // unreachable: a finished fiber is never woken
+}
 
 #if defined(SPAM_SIM_UCONTEXT_FIBER)
 
@@ -58,54 +164,9 @@ void Fiber::run_body() { body_(); }
 // ---------------------------------------------------------------------------
 
 void Fiber::trampoline(unsigned hi, unsigned lo) {
-  auto* self = reinterpret_cast<Fiber*>(
-      (static_cast<std::uintptr_t>(hi) << 32) | static_cast<std::uintptr_t>(lo));
-  self->run_body();
-  // Returning from the body: mark finished and fall back to the caller
-  // context captured in the last resume().
-  self->state_ = State::kFinished;
-  g_current = nullptr;
-  self->tsan_before_switch_out();
-  swapcontext(&self->ctx_, &self->caller_);
-  // Unreachable: a finished fiber is never resumed.
-  std::abort();
-}
-
-void Fiber::resume() {
-  assert(g_current == nullptr && "resume() must be called from main context");
-  assert(state_ != State::kFinished && "cannot resume a finished fiber");
-  assert(state_ != State::kRunning);
-
-  ++g_resumes;
-  if (state_ == State::kCreated) {
-    getcontext(&ctx_);
-    ctx_.uc_stack.ss_sp = stack_.get();
-    ctx_.uc_stack.ss_size = stack_bytes_;
-    ctx_.uc_link = &caller_;
-    const auto p = reinterpret_cast<std::uintptr_t>(this);
-    makecontext(&ctx_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 2,
-                static_cast<unsigned>(p >> 32),
-                static_cast<unsigned>(p & 0xffffffffu));
-  }
-  state_ = State::kRunning;
-  g_current = this;
-  tsan_before_switch_in();
-  swapcontext(&caller_, &ctx_);
-  // Back in the main context: the fiber either yielded or finished.
-  if (state_ == State::kRunning) state_ = State::kSuspended;
-  g_current = nullptr;
-}
-
-void Fiber::yield() {
-  Fiber* self = g_current;
-  assert(self != nullptr && "yield() must be called from inside a fiber");
-  self->state_ = State::kSuspended;
-  g_current = nullptr;
-  self->tsan_before_switch_out();
-  swapcontext(&self->ctx_, &self->caller_);
-  // Resumed again.
-  self->state_ = State::kRunning;
-  g_current = self;
+  reinterpret_cast<Fiber*>((static_cast<std::uintptr_t>(hi) << 32) |
+                           static_cast<std::uintptr_t>(lo))
+      ->run_body();
 }
 
 #else
@@ -118,7 +179,6 @@ void Fiber::yield() {
 // backtraces stop at the switch — an accepted cost of the ~14x speedup.
 // ---------------------------------------------------------------------------
 
-extern "C" void spam_sim_fiber_switch(void** save_sp, void* load_sp);
 extern "C" void spam_sim_fiber_entry();
 
 asm(R"(
@@ -165,21 +225,10 @@ spam_sim_fiber_entry:
 void fiber_entry_dispatch();
 
 // First activation of a fiber lands here (via the ret in fiber_switch).
-// g_current was set by resume() just before the switch.
+// switch_stack() set on_stack to the fiber just before the switch.
 extern "C" void spam_sim_fiber_entry_cxx() { fiber_entry_dispatch(); }
 
-void fiber_entry_dispatch() {
-  Fiber* self = g_current;
-  assert(self != nullptr);
-  self->run_body();
-  // Returning from the body: mark finished and switch back to the caller
-  // for good.  A finished fiber is never resumed, so sp_ goes dead here.
-  self->state_ = Fiber::State::kFinished;
-  g_current = nullptr;
-  self->tsan_before_switch_out();
-  spam_sim_fiber_switch(&self->sp_, self->caller_sp_);
-  std::abort();  // unreachable
-}
+void fiber_entry_dispatch() { g_sched.on_stack->run_body(); }
 
 void Fiber::prepare_stack() {
   // Lay the stack out exactly as spam_sim_fiber_switch leaves it when
@@ -201,34 +250,6 @@ void Fiber::prepare_stack() {
   *reinterpret_cast<std::uint16_t*>(slot) = fpcw;
   *reinterpret_cast<std::uint32_t*>(slot + 4) = mxcsr;
   sp_ = sp;
-}
-
-void Fiber::resume() {
-  assert(g_current == nullptr && "resume() must be called from main context");
-  assert(state_ != State::kFinished && "cannot resume a finished fiber");
-  assert(state_ != State::kRunning);
-
-  ++g_resumes;
-  if (state_ == State::kCreated) prepare_stack();
-  state_ = State::kRunning;
-  g_current = this;
-  tsan_before_switch_in();
-  spam_sim_fiber_switch(&caller_sp_, sp_);
-  // Back in the main context: the fiber either yielded or finished.
-  if (state_ == State::kRunning) state_ = State::kSuspended;
-  g_current = nullptr;
-}
-
-void Fiber::yield() {
-  Fiber* self = g_current;
-  assert(self != nullptr && "yield() must be called from inside a fiber");
-  self->state_ = State::kSuspended;
-  g_current = nullptr;
-  self->tsan_before_switch_out();
-  spam_sim_fiber_switch(&self->sp_, self->caller_sp_);
-  // Resumed again.
-  self->state_ = State::kRunning;
-  g_current = self;
 }
 
 #endif  // SPAM_SIM_UCONTEXT_FIBER

@@ -7,23 +7,6 @@
 
 namespace spam::sim {
 
-namespace {
-
-// Marks `node` as the running node for the dynamic extent of a
-// fiber_->resume() call, restoring the previous value (the main context's
-// nullptr) when the fiber yields back.
-struct RunningNodeGuard {
-  NodeCtx* prev;
-  explicit RunningNodeGuard(NodeCtx* node) : prev(tl_running_node) {
-    tl_running_node = node;
-  }
-  ~RunningNodeGuard() { tl_running_node = prev; }
-  RunningNodeGuard(const RunningNodeGuard&) = delete;
-  RunningNodeGuard& operator=(const RunningNodeGuard&) = delete;
-};
-
-}  // namespace
-
 void NodeCtx::elapse(Time d) {
   assert(Fiber::current() == fiber_ && "elapse() must run on the node fiber");
   // Fold the charge debt into this sleep: same uint64-ns additions in the
@@ -41,13 +24,20 @@ void NodeCtx::elapse(Time d) {
     // CPU time (they latch wake_pending_ instead).
     assert(sleep_state_ == SleepState::kElapsing);
     sleep_state_ = SleepState::kRunning;
-    RunningNodeGuard guard(this);
     fiber_->resume();
   };
   static_assert(Engine::Action::fits_inline<decltype(wake)>,
                 "elapse() timer closure must not heap-allocate");
   engine().after(d, std::move(wake));
+  park();
+}
+
+void NodeCtx::park() {
+  // Events run while the fiber is parked, possibly on its own stack: they
+  // see the main/engine context, so no node is running until it wakes.
+  tl_running_node = nullptr;
   Fiber::yield();
+  tl_running_node = this;
 }
 
 void NodeCtx::suspend() {
@@ -62,7 +52,7 @@ void NodeCtx::suspend() {
     return;
   }
   sleep_state_ = SleepState::kWaiting;
-  Fiber::yield();
+  park();
 }
 
 std::function<void()> NodeCtx::make_resumer() {
@@ -71,7 +61,6 @@ std::function<void()> NodeCtx::make_resumer() {
       if (fiber_ == nullptr || fiber_->finished()) return;
       if (sleep_state_ == SleepState::kWaiting) {
         sleep_state_ = SleepState::kRunning;
-        RunningNodeGuard guard(this);
         fiber_->resume();
       } else {
         // Running or elapsing: latch for the next suspend().
@@ -79,9 +68,9 @@ std::function<void()> NodeCtx::make_resumer() {
       }
     };
     if (Fiber::current() == nullptr) {
-      deliver();  // already in the main context (an engine event)
+      deliver();  // already in an engine event (on whichever stack)
     } else {
-      // Called from some fiber: defer so fibers never switch directly.
+      // Called from some fiber: defer, since only events resume fibers.
       // Settle the caller first — the deferred delivery must be stamped
       // with the caller's virtual instant, not a stale engine clock.
       settle_running_node();
@@ -120,18 +109,16 @@ void World::launch_pending() {
     NodeCtx& ctx = *nodes_[rank];
     auto fiber = std::make_unique<Fiber>(
         [&ctx, prog = std::move(program)] {
+          tl_running_node = &ctx;
           prog(ctx);
           // A program that ends mid-charge still owes its CPU time: the
           // node's completion instant must match the per-call path.
           ctx.settle();
+          tl_running_node = nullptr;
         },
         512 * 1024, "node" + std::to_string(rank));
     ctx.fiber_ = fiber.get();
-    Fiber* f = fiber.get();
-    engine_.at(engine_.now(), [f, &ctx] {
-      RunningNodeGuard guard(&ctx);
-      f->resume();
-    });
+    engine_.at(engine_.now(), [f = fiber.get()] { f->resume(); });
     fibers_.push_back(std::move(fiber));
   }
   pending_.clear();
@@ -155,13 +142,17 @@ void World::check_finished() {
 
 void World::run() {
   launch_pending();
+  Fiber::host(&engine_);
   engine_.run();
+  Fiber::host(nullptr);
   check_finished();
 }
 
 bool World::run_until(Time deadline) {
   launch_pending();
+  Fiber::host(&engine_);
   engine_.run_until(deadline);
+  Fiber::host(nullptr);
   for (const auto& f : fibers_) {
     if (!f->finished()) return false;
   }

@@ -98,9 +98,8 @@ class NodeCtx {
 
   /// Returns a callable that wakes this node out of suspend().  Safe to
   /// call from engine events or from any fiber (fiber calls are deferred
-  /// through an engine event so fibers never switch to each other
-  /// directly).  Does NOT interrupt elapse(): charged CPU time is
-  /// indivisible.
+  /// through an engine event: only events resume fibers).  Does NOT
+  /// interrupt elapse(): charged CPU time is indivisible.
   std::function<void()> make_resumer();
 
   /// Spins until `done()` returns true, charging `poll_cost` per check.
@@ -122,6 +121,10 @@ class NodeCtx {
   friend class World;
   enum class SleepState { kRunning, kElapsing, kWaiting };
 
+  /// Yields the fiber until an event wakes it, marking no node running
+  /// meanwhile.
+  void park();
+
   World* world_;
   int rank_;
   Rng rng_;
@@ -133,11 +136,13 @@ class NodeCtx {
   Time debt_ = 0;
 };
 
-/// The node whose fiber is currently executing, nullptr in the main/engine
-/// context.  Maintained by the three resume sites in world.cpp; read by
-/// cross-node now(), fiber-originated resumer delivery, the trace pre-emit
-/// hook, and the host-side adapter calls to settle the running node's
-/// charge debt before its state becomes observable.
+/// The node whose program is currently executing, nullptr in the
+/// main/engine context (events, on whichever stack they run).  Set by the
+/// program's own fiber: for the body, and again after each yield, which
+/// clears it (NodeCtx::park); read by cross-node now(), fiber-originated
+/// resumer delivery, the trace pre-emit hook, and the host-side adapter
+/// calls to settle the running node's charge debt before its state becomes
+/// observable.
 inline thread_local NodeCtx* tl_running_node = nullptr;
 
 /// Settles the running node's charge debt (no-op in the main/engine

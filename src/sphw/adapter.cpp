@@ -12,6 +12,17 @@ namespace spam::sphw {
 
 namespace {
 sim::Time ceil_us(double us) { return sim::usec(us); }
+
+// The least submit-to-arrival latency of any packet: a header-only packet
+// through idle tx and rx pipelines, summing the terms
+// submit_to_tx_pipeline() and deliver_from_switch() add.
+sim::Time min_submit_to_arrival(const SpParams& p) {
+  const std::uint32_t bytes = Packet{}.wire_bytes(p);
+  return ceil_us(p.dma_setup_us) + sim::transfer_time(bytes, p.mc_dma_mbps) +
+         ceil_us(p.i860_tx_us) + sim::transfer_time(bytes, p.link_mbps) +
+         sim::usec(p.hop_latency_us) + ceil_us(p.i860_rx_us) +
+         ceil_us(p.dma_setup_us) + sim::transfer_time(bytes, p.mc_dma_mbps);
+}
 }  // namespace
 
 Tb2Adapter::Tb2Adapter(sim::Engine& engine, SwitchFabric& fabric, int node,
@@ -20,6 +31,7 @@ Tb2Adapter::Tb2Adapter(sim::Engine& engine, SwitchFabric& fabric, int node,
       fabric_(fabric),
       node_(node),
       params_(params),
+      min_latency_(min_submit_to_arrival(params)),
       rx_fifo_capacity_(params.recv_fifo_entries_per_node *
                         std::max(1, active_nodes)) {
   fabric_.attach(node, this);
@@ -273,9 +285,16 @@ SPAM_HOT sim::Time Tb2Adapter::host_rx_ready_time() const {
   // Ledger arrivals are ordered (rx_dma_free_ is monotonic), a rollback
   // re-delivers at the bit-identical per-hop instant, a conflicting
   // later per-hop delivery inherits clocks >= the front's arrival, and a
-  // FIFO-full drop only keeps the queue empty longer — so nothing can
-  // become host-visible before the front reservation's instant.
-  return fused_.front().t_arrive;
+  // FIFO-full drop only keeps the queue empty longer — so nothing already
+  // submitted can become host-visible before the front reservation's
+  // instant.
+  const sim::Time front = fused_.front().t_arrive;
+  // With two adapters the only sender is the peer, whose later packets
+  // leave the switch later.  With more, a packet another node submits from
+  // now on can leave the switch first and land before the front, but no
+  // sooner than the least submit-to-arrival latency.
+  if (fabric_.size() > 2) return std::min(front, engine_.now() + min_latency_);
+  return front;
 }
 
 SPAM_HOT void Tb2Adapter::complete_rx(Packet p) {

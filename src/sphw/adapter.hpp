@@ -113,7 +113,9 @@ class Tb2Adapter {
   /// is provable.  Valid only when every inbound packet is fused (ledger
   /// arrivals are ordered, and any mid-flight rollback re-delivers at the
   /// bit-identical per-hop instant, never earlier); per-hop packets in
-  /// flight or pending arrive events forfeit the hint.
+  /// flight or pending arrive events forfeit the hint.  On fabrics of three
+  /// or more adapters it is capped at now plus the least submit-to-arrival
+  /// latency, since a third node's later packet can overtake the ledger.
   sim::Time host_rx_ready_time() const;
 
   /// Copies the front packet out of the receive FIFO (charges the copy) and
@@ -192,6 +194,8 @@ class Tb2Adapter {
   SwitchFabric& fabric_;
   const int node_;
   const SpParams params_;
+  // Least submit-to-arrival latency of any packet (host_rx_ready_time).
+  const sim::Time min_latency_;
 
   // Send side.
   int send_fifo_used_ = 0;

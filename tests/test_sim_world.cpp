@@ -2,6 +2,11 @@
 // deadlock detection, determinism.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/world.hpp"
@@ -106,6 +111,146 @@ TEST(World, RunUntilReportsUnfinished) {
   World w(1);
   w.spawn(0, [&](NodeCtx& ctx) { ctx.elapse(1000); });
   EXPECT_FALSE(w.run_until(10));
+}
+
+// --- Fiber-to-fiber handoff: the yielding fiber hosts the event loop ----------
+
+// Eight nodes elapse in a staggered ring, so nearly every wake is for
+// another node than the one yielding.  Each wake switches straight from
+// the yielding stack to the woken one; only the end of the run switches to
+// the main stack.  (A main-stack loop needs two switches per wake.)
+TEST(Handoff, RingCostsOneStackSwitchPerWake) {
+  World w(8);
+  std::vector<Time> end(8);
+  for (int r = 0; r < 8; ++r) {
+    w.spawn(r, [&end](NodeCtx& ctx) {
+      for (int i = 0; i < 50; ++i) ctx.elapse(100 + ctx.rank());
+      end[ctx.rank()] = ctx.now();
+    });
+  }
+  const std::uint64_t resumes0 = Fiber::resume_count();
+  const std::uint64_t switches0 = Fiber::stack_switches();
+  w.run();
+  const std::uint64_t resumes = Fiber::resume_count() - resumes0;
+  const std::uint64_t switches = Fiber::stack_switches() - switches0;
+  EXPECT_GT(resumes, 8u * 40u);  // launches + elapse wakes (some skipped)
+  EXPECT_LE(switches, resumes + 1);
+  for (int r = 0; r < 8; ++r) {
+    EXPECT_EQ(end[r], 50u * (100u + static_cast<unsigned>(r)));
+  }
+}
+
+// A node whose own wake follows only non-fiber events runs those events on
+// its own stack and resumes without any stack switch.
+TEST(Handoff, OwnWakeAfterPlainEventsNeedsNoSwitch) {
+  World w(1);
+  int ran = 0;
+  std::uint64_t resumes = 0;
+  std::uint64_t switches = 0;
+  w.spawn(0, [&](NodeCtx& ctx) {
+    for (Time t = 10; t <= 30; t += 10) ctx.engine().after(t, [&ran] { ++ran; });
+    const std::uint64_t resumes0 = Fiber::resume_count();
+    const std::uint64_t switches0 = Fiber::stack_switches();
+    ctx.elapse(100);
+    resumes = Fiber::resume_count() - resumes0;
+    switches = Fiber::stack_switches() - switches0;
+  });
+  w.run();
+  EXPECT_EQ(ran, 3);
+  EXPECT_EQ(resumes, 1u);
+  EXPECT_EQ(switches, 0u);
+}
+
+TEST(Handoff, RunUntilResumesFibersParkedInAHostedLoop) {
+  auto run = [](bool sliced) {
+    World w(4);
+    std::vector<Time> end(4);
+    for (int r = 0; r < 4; ++r) {
+      w.spawn(r, [&end](NodeCtx& ctx) {
+        for (int i = 0; i < 30; ++i) ctx.elapse(5 + 2 * ctx.rank());
+        end[ctx.rank()] = ctx.now();
+      });
+    }
+    if (sliced) {
+      // The first slice ends with the fibers parked on their own stacks,
+      // inside the loop or an event they hosted; the second must pick
+      // each up where it stopped.
+      EXPECT_FALSE(w.run_until(100));
+      EXPECT_TRUE(w.run_until(1'000'000));
+    } else {
+      w.run();
+    }
+    return std::make_pair(end, w.engine().events_executed());
+  };
+  EXPECT_EQ(run(/*sliced=*/true), run(/*sliced=*/false));
+}
+
+// The node that finishes first keeps dispatching on its dead stack: the
+// wake it leaves behind must still reach the parked node.
+TEST(Handoff, FinishedFiberKeepsTheRunGoing) {
+  World w(2);
+  std::function<void()> wake1;
+  Time woke = 0;
+  Time end = 0;
+  w.spawn(0, [&](NodeCtx& ctx) {
+    ctx.elapse(10);
+    wake1();  // delivered by an event after this program has returned
+  });
+  w.spawn(1, [&](NodeCtx& ctx) {
+    wake1 = ctx.make_resumer();
+    ctx.suspend();
+    woke = ctx.now();
+    ctx.elapse(40);
+    end = ctx.now();
+  });
+  w.run();
+  EXPECT_EQ(woke, 10u);
+  EXPECT_EQ(end, 50u);
+}
+
+TEST(Handoff, DeadlockThrowsListingTheStuckRanks) {
+  World w(3);
+  w.spawn(0, [](NodeCtx& ctx) { ctx.suspend(); });
+  w.spawn(1, [](NodeCtx& ctx) { ctx.elapse(5); });
+  w.spawn(2, [](NodeCtx& ctx) {
+    ctx.elapse(7);
+    ctx.suspend();
+  });
+  try {
+    w.run();
+    ADD_FAILURE() << "deadlock not detected";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("2 program(s)"), std::string::npos) << what;
+    EXPECT_NE(what.find("node0, node2"), std::string::npos) << what;
+    EXPECT_EQ(what.find("node1"), std::string::npos) << what;
+  }
+}
+
+// Engine::run()/run_until() count the events a hosted fiber loop executes
+// on its own stack, not only those the main stack runs.
+TEST(Handoff, EngineRunCountsEventsHostedOnFiberStacks) {
+  Engine e;
+  int plain = 0;
+  Fiber* self = nullptr;
+  Fiber f([&] {
+    for (int i = 0; i < 5; ++i) {
+      e.after(1, [&plain] { ++plain; });
+      e.after(2, [&self] { self->resume(); });
+      Fiber::yield();
+    }
+  });
+  self = &f;
+  e.at(0, [&f] { f.resume(); });
+  Fiber::host(&e);
+  const std::uint64_t first = e.run_until(2);  // launch, plain, wake
+  const std::uint64_t rest = e.run();
+  Fiber::host(nullptr);
+  EXPECT_EQ(first, 3u);
+  EXPECT_EQ(first + rest, 11u);
+  EXPECT_EQ(e.events_executed(), 11u);
+  EXPECT_EQ(plain, 5);
+  EXPECT_TRUE(f.finished());
 }
 
 // --- Node-local virtual clocks: the charge-debt ledger -----------------------

@@ -405,6 +405,42 @@ TEST(Fastpath, RxReadyTimeIsAnExactLowerBound) {
   EXPECT_TRUE(checked);
 }
 
+// With a third adapter, a packet another node submits *after* the hint is
+// read can leave the switch before the ledger front and land first.  Node
+// 0 queues 20 packets for node 1 ahead of one for node 2; node 1 answers
+// its first arrival with a packet to node 2, which overtakes node 0's.
+TEST(Fastpath, RxReadyTimeBoundsALaterSenderOnThreeNodes) {
+  sim::World w(3);
+  SpMachine m(w, SpParams::thin_node());
+  sim::Time read_at = 0;
+  sim::Time hint = 0;
+  sim::Time ready_at = 0;
+
+  w.spawn(0, [&](sim::NodeCtx& ctx) {
+    for (std::uint32_t i = 0; i < 20; ++i) {
+      m.adapter(0).host_enqueue(ctx, mk(1, 224, i), /*doorbell_npackets=*/0);
+    }
+    m.adapter(0).host_enqueue(ctx, mk(2, 4, 20), /*doorbell_npackets=*/21);
+  });
+  w.spawn(1, [&](sim::NodeCtx& ctx) {
+    ctx.poll_until([&] { return m.adapter(1).host_rx_ready(); }, 1);
+    m.adapter(1).host_enqueue(ctx, mk(2, 4, 1));
+  });
+  w.spawn(2, [&](sim::NodeCtx& ctx) {
+    ctx.elapse(sim::usec(110));
+    read_at = ctx.now();
+    hint = m.adapter(2).host_rx_ready_time();
+    // One-tick polls find the exact instant the rx FIFO turns ready.
+    ctx.poll_until([&] { return m.adapter(2).host_rx_ready(); }, 1);
+    ready_at = ctx.now();
+  });
+  w.run();
+
+  ASSERT_NE(hint, 0u) << "node 0's packet must be in node 2's ledger";
+  EXPECT_GT(hint, read_at);
+  EXPECT_LE(hint, ready_at) << "the hint must stay a lower bound";
+}
+
 // A compute charge() covers the instant a packet lands at node 1 and the
 // instant node 0's only send-FIFO entry frees.  The host-side queries must
 // settle the caller's charge debt before they read adapter state, so both

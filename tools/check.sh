@@ -26,6 +26,9 @@
 #   asan           -fsanitize=address build + full suite
 #   ubsan          -fsanitize=undefined (no recovery) build + full suite
 #   tsan           ThreadSanitizer build + the `driver` label tests
+#   ucontext       -DSPAM_SIM_FORCE_UCONTEXT build + full test suite: the
+#                  portable fiber switch non-x86-64 hosts use, which shares
+#                  the fiber-to-fiber handoff with the asm path
 #   thread-safety  Clang -Werror=thread-safety build (skipped when clang++
 #                  is not installed)
 #   clang-tidy     .clang-tidy over src/ and tools/ (skipped when
@@ -128,6 +131,11 @@ fi
 if ! skipped tsan; then
   note "ThreadSanitizer build + driver tests"
   run_preset_suite tsan tsan-driver
+fi
+
+if ! skipped ucontext; then
+  note "ucontext fiber switch build + full test suite"
+  run_preset_suite ucontext
 fi
 
 if ! skipped thread-safety; then
