@@ -128,13 +128,15 @@ std::string mpi_figures(const sphw::SpParams& hw,
 AllocCounters AllocCounters::sample(const sim::Engine& engine) {
   const auto pool = engine.pool_stats();
   return {pool.nodes_allocated, pool.action_heap_fallbacks,
-          sphw::PayloadPool::instance().stats().buffers_allocated};
+          sphw::PayloadPool::instance().stats().buffers_allocated,
+          pool.queue_capacity};
 }
 
 AllocCounters AllocCounters::operator-(const AllocCounters& before) const {
   return {event_nodes - before.event_nodes,
           heap_actions - before.heap_actions,
-          payload_buffers - before.payload_buffers};
+          payload_buffers - before.payload_buffers,
+          event_queue - before.event_queue};
 }
 
 }  // namespace spam::bench

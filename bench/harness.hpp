@@ -76,11 +76,12 @@ struct AllocCounters {
   std::uint64_t event_nodes = 0;      // Engine pool growth
   std::uint64_t heap_actions = 0;     // InlineAction heap fallbacks
   std::uint64_t payload_buffers = 0;  // PayloadPool growth
+  std::uint64_t event_queue = 0;      // Engine queue capacity growth
 
   static AllocCounters sample(const sim::Engine& engine);
   AllocCounters operator-(const AllocCounters& before) const;
   std::uint64_t total() const {
-    return event_nodes + heap_actions + payload_buffers;
+    return event_nodes + heap_actions + payload_buffers + event_queue;
   }
 };
 

@@ -99,6 +99,7 @@ SPAM_HOT void Endpoint::merge_empty_polls() {
 }
 
 bool Endpoint::bulk_progress_frozen() const {
+  if (queued_ops_ == 0) return true;
   for (std::size_t n = 0; n < peers_.size(); ++n) {
     for (std::uint8_t ch : {kChanRequest, kChanReply}) {
       const TxChan& tx = peers_[n].tx[ch];
@@ -116,14 +117,7 @@ bool Endpoint::bulk_progress_frozen() const {
   return true;
 }
 
-bool Endpoint::have_unacked_retrans() const {
-  for (const Peer& p : peers_) {
-    for (const TxChan& tx : p.tx) {
-      if (!tx.retrans.empty()) return true;
-    }
-  }
-  return false;
-}
+bool Endpoint::have_unacked_retrans() const { return unacked_chunks_ > 0; }
 
 void Endpoint::wait_for_fifo_space() {
   // The adapter drains the send FIFO autonomously (DMA), so plain waiting
@@ -142,6 +136,7 @@ SPAM_HOT void Endpoint::enqueue_sequenced_packet(sphw::Packet pkt, TxChan& tx,
       // spam-lint: capacity-ok (retransmit ring is bounded by the
       // flow-control window; entries recycle in steady state)
       tx.retrans.push_back({pkt.seq, {}});
+      ++unacked_chunks_;
     }
     assert(!tx.retrans.empty() && tx.retrans.back().seq == pkt.seq);
     // spam-lint: capacity-ok (packet copy shares the pooled payload via
@@ -262,7 +257,7 @@ void Endpoint::store_async(int dst, void* dst_addr, const void* src,
   op.arg = arg;
   op.complete = std::move(complete);
   ++outstanding_ops_;
-  peer(dst).tx[kChanRequest].ops.push_back(std::move(op));
+  queue_op(peer(dst).tx[kChanRequest], std::move(op));
   progress_bulk();
 }
 
@@ -284,7 +279,7 @@ void Endpoint::store(int dst, void* dst_addr, const void* src,
   op.complete = {};
   ++outstanding_ops_;
   TxChan& tx = peer(dst).tx[kChanRequest];
-  tx.ops.push_back(std::move(op));
+  queue_op(tx, std::move(op));
   // Drive our op to full enqueue: it leaves the queue exactly then.
   while (true) {
     progress_bulk();
@@ -337,9 +332,17 @@ void Endpoint::get_blocking(int dst, const void* src_addr, void* dst_addr,
   poll_until([&] { return done; });
 }
 
+void Endpoint::queue_op(TxChan& tx, BulkOp op) {
+  // spam-lint: capacity-ok — deque bounded by the outstanding-op window;
+  // block allocation amortizes out after the first ramp
+  tx.ops.push_back(std::move(op));
+  ++queued_ops_;
+}
+
 void Endpoint::progress_bulk() {
   // Round-robin over peers/channels that have queued operations, pushing
   // whole chunks while the window and FIFO allow.
+  if (queued_ops_ == 0) return;
   bool progressed = true;
   while (progressed) {
     progressed = false;
@@ -429,6 +432,7 @@ bool Endpoint::try_send_next_chunk(int dst, std::uint8_t channel,
     // in flight, steady-state capacity sticks after the first ramp
     tx.completions.push_back({seq + 1, std::move(op.complete)});
     tx.ops.pop_front();
+    --queued_ops_;
   }
   return true;
 }
@@ -455,6 +459,7 @@ SPAM_HOT void Endpoint::process_ack(int src, std::uint8_t channel,
     tx.packets_in_flight -=
         static_cast<int>(tx.retrans.front().packets.size());
     tx.retrans.pop_front();
+    --unacked_chunks_;
   }
   assert(tx.packets_in_flight >= 0);
   tx.acked_seq = cum_ack;
@@ -498,9 +503,7 @@ void Endpoint::serve_get(const sphw::Packet& pkt) {
   op.arg = static_cast<Word>(pkt.h[0] >> 32);
   op.cookie = pkt.offset;
   ++outstanding_ops_;
-  // spam-lint: capacity-ok — deque bounded by the outstanding-op window;
-  // block allocation amortizes out after the first ramp
-  peer(pkt.src).tx[kChanReply].ops.push_back(std::move(op));
+  queue_op(peer(pkt.src).tx[kChanReply], std::move(op));
 }
 
 SPAM_HOT void Endpoint::deliver_small(const sphw::Packet& pkt) {

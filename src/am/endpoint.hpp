@@ -260,6 +260,8 @@ class Endpoint {
   int planned_chunk_packets(const BulkOp& op, int window) const;
   bool have_unacked_retrans() const;
 
+  /// Appends `op` to `tx`'s queue and counts it in queued_ops_.
+  void queue_op(TxChan& tx, BulkOp op);
   // Bulk progress: pushes chunks of queued ops while windows/FIFO allow.
   void progress_bulk();
   bool try_send_next_chunk(int dst, std::uint8_t channel, TxChan& tx);
@@ -286,6 +288,11 @@ class Endpoint {
   std::vector<Peer> peers_;
 
   int outstanding_ops_ = 0;
+  // Totals over every peer and channel, kept exact at each push and pop so
+  // an idle poll need not scan them: queued bulk ops (tx.ops) and unacked
+  // chunks saved for retransmission (tx.retrans).
+  int queued_ops_ = 0;
+  int unacked_chunks_ = 0;
   int empty_poll_streak_ = 0;
   bool in_poll_ = false;
   std::uint32_t next_get_cookie_ = 1;

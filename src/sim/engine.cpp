@@ -1,7 +1,5 @@
 #include "sim/engine.hpp"
 
-#include <algorithm>
-#include <bit>
 #include <limits>
 #include <utility>
 
@@ -37,186 +35,68 @@ SPAM_HOT void Engine::release(Node* n) {
   ++nodes_free_;
 }
 
-SPAM_HOT void Engine::sift_up(std::size_t i) {
-  Node* n = heap_[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
-    if (!earlier(n, heap_[parent])) break;
-    heap_[i] = heap_[parent];
-    i = parent;
+void Engine::grow() {
+  // Doubles the buffer (64 entries on first use) and unwraps it so the
+  // next event sits at index 0.  Runs only when the queue passes its high
+  // water, never in a warm steady state.
+  std::vector<Entry> bigger(ring_.empty() ? 64 : 2 * ring_.size());
+  const std::size_t mask = ring_.size() - 1;
+  for (std::size_t i = 0; i < count_; ++i) {
+    bigger[i] = ring_[(head_ + i) & mask];
   }
-  heap_[i] = n;
-}
-
-SPAM_HOT void Engine::sift_down(std::size_t i) {
-  const std::size_t size = heap_.size();
-  Node* n = heap_[i];
-  for (;;) {
-    const std::size_t first = 4 * i + 1;
-    if (first >= size) break;
-    std::size_t best = first;
-    const std::size_t last = std::min(first + 4, size);
-    for (std::size_t c = first + 1; c < last; ++c) {
-      if (earlier(heap_[c], heap_[best])) best = c;
-    }
-    if (!earlier(heap_[best], n)) break;
-    heap_[i] = heap_[best];
-    i = best;
-  }
-  heap_[i] = n;
-}
-
-SPAM_HOT Engine::Node* Engine::heap_pop() {
-  Node* top = heap_[0];
-  Node* last = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) {
-    heap_[0] = last;
-    sift_down(0);
-  }
-  return top;
-}
-
-SPAM_HOT std::uint64_t Engine::next_nonempty_bucket() const {
-  // Precondition: calendar_count_ > 0, so some bit is set.  The window is
-  // (drained_through_, drained_through_ + kBuckets]; scanning slots
-  // circularly from drained_through_ + 1 visits candidates in increasing
-  // absolute-bucket order, so the first set bit is the earliest bucket.
-  const std::uint64_t start = drained_through_ + 1;
-  const std::size_t start_slot = static_cast<std::size_t>(start & kBucketMask);
-  const std::size_t start_word = start_slot / 64;
-  const std::size_t start_bit = start_slot % 64;
-  for (std::size_t i = 0; i <= kBitmapWords; ++i) {
-    const std::size_t word = (start_word + i) % kBitmapWords;
-    std::uint64_t bits = bucket_bits_[word];
-    if (i == 0) {
-      bits &= ~std::uint64_t{0} << start_bit;
-    } else if (i == kBitmapWords) {
-      // Wrapped back to the start word: only the bits below start_bit are
-      // still unvisited (they are the far end of the window).
-      bits &= start_bit == 0 ? 0 : ~(~std::uint64_t{0} << start_bit);
-    }
-    if (bits != 0) {
-      const std::size_t slot =
-          word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-      const std::uint64_t offset = (slot - start_slot) & kBucketMask;
-      return start + offset;
-    }
-  }
-  __builtin_unreachable();  // calendar_count_ > 0 guarantees a set bit
-}
-
-SPAM_HOT void Engine::drain_bucket(std::uint64_t b) {
-  const std::size_t slot = static_cast<std::size_t>(b & kBucketMask);
-  Node* n = bucket_[slot];
-  bucket_[slot] = nullptr;
-  bucket_bits_[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
-  const std::size_t begin = run_.size();
-  while (n != nullptr) {
-    Node* next = n->next_free;
-    // spam-lint: capacity-ok (run_ keeps its high-water capacity; steady
-    // state never reallocates, which SteadyState.* asserts)
-    run_.push_back(n);
-    n = next;
-  }
-  calendar_count_ -= run_.size() - begin;
-  // Everything already in run_ came from earlier buckets, so sorting just
-  // the appended range keeps the whole vector ordered by (t, seq).
-  std::sort(run_.begin() + static_cast<std::ptrdiff_t>(begin), run_.end(),
-            &Engine::earlier);
-  drained_through_ = b;
-  if (calendar_count_ > 0) cal_min_bucket_ = next_nonempty_bucket();
-}
-
-SPAM_HOT Engine::Node* Engine::front() {
-  for (;;) {
-    Node* best = run_pos_ < run_.size() ? run_[run_pos_] : nullptr;
-    if (!heap_.empty() && (best == nullptr || earlier(heap_[0], best))) {
-      best = heap_[0];
-    }
-    if (calendar_count_ == 0) return best;
-    const std::uint64_t b = cal_min_bucket_;
-    // Every event in bucket b (and beyond) has t >= b << kBucketShift, so a
-    // strictly earlier run/heap front is the exact global minimum.
-    if (best != nullptr && best->t < (b << kBucketShift)) return best;
-    drain_bucket(b);
-  }
-}
-
-SPAM_HOT Engine::Node* Engine::pop_min() {
-  Node* best = front();
-  if (best == nullptr) return nullptr;
-  Node* run_front = run_pos_ < run_.size() ? run_[run_pos_] : nullptr;
-  if (best == run_front) {
-    ++run_pos_;
-    if (run_pos_ == run_.size()) {
-      run_.clear();
-      run_pos_ = 0;
-    }
-    return best;
-  }
-  return heap_pop();
+  ring_ = std::move(bigger);
+  head_ = 0;
 }
 
 SPAM_HOT void Engine::at(Time t, Action fn) {
   if (t < now_) t = now_;
   Node* n = acquire();
-  n->t = t;
-  n->seq = next_seq_++;
   n->fn = std::move(fn);
-  if (calendar_count_ == 0) {
-    // Empty calendar: rebase the window to the present so short-horizon
-    // events keep landing in buckets no matter how far the clock jumped.
-    const std::uint64_t now_bucket = now_ >> kBucketShift;
-    if (now_bucket > drained_through_) drained_through_ = now_bucket;
+  if (count_ == ring_.size()) grow();
+  // Locals, not members: the entry stores below could otherwise alias
+  // head_ and count_ and force a reload on every step of the moves.
+  Entry* const ring = ring_.data();
+  const std::size_t mask = ring_.size() - 1;
+  const std::size_t count = count_;
+  std::size_t head = head_;
+  // The slot after every entry at or before `t`: same-time events
+  // scheduled earlier stay ahead of this one, so they run first.
+  std::size_t lo = 0;
+  for (std::size_t len = count; len > 0;) {
+    const std::size_t half = len / 2;
+    const bool after = ring[(head + lo + half) & mask].t <= t;
+    lo = after ? lo + half + 1 : lo;
+    len = after ? len - half - 1 : half;
   }
-  const std::uint64_t b = t >> kBucketShift;
-  if (b > drained_through_ && b - drained_through_ <= kBuckets) {
-    const std::size_t slot = static_cast<std::size_t>(b & kBucketMask);
-    n->next_free = bucket_[slot];
-    bucket_[slot] = n;
-    bucket_bits_[slot / 64] |= std::uint64_t{1} << (slot % 64);
-    if (calendar_count_ == 0 || b < cal_min_bucket_) cal_min_bucket_ = b;
-    ++calendar_count_;
-    return;
+  // Open the slot by moving the shorter side one place outward.
+  if (lo < count - lo) {
+    head = (head - 1) & mask;
+    for (std::size_t i = 0; i < lo; ++i) {
+      ring[(head + i) & mask] = ring[(head + i + 1) & mask];
+    }
+    head_ = head;
+  } else {
+    for (std::size_t i = count; i > lo; --i) {
+      ring[(head + i) & mask] = ring[(head + i - 1) & mask];
+    }
   }
-  // Same-bucket-as-now or beyond the window: the heap takes it.
-  // spam-lint: capacity-ok (heap_ keeps its high-water capacity; steady
-  // state never reallocates, which SteadyState.* asserts)
-  heap_.push_back(n);
-  sift_up(heap_.size() - 1);
-}
-
-SPAM_HOT bool Engine::try_skip_elapse(Time d) {
-  if (!fastpath_ || stopped_) return false;
-  const Time target = now_ + d;
-  if (target > run_deadline_) return false;
-  // Exact peek (drains calendar buckets as needed).  An event at exactly
-  // `target` must still deny: per-hop mode would run it before the wake
-  // timer (its seq is smaller — it was already queued).
-  const Node* next = front();
-  if (next != nullptr && next->t <= target) return false;
-  now_ = target;
-  return true;
+  ring[(head + lo) & mask] = Entry{t, n};
+  count_ = count + 1;
 }
 
 SPAM_HOT bool Engine::step() {
-  Node* n = pop_min();
-  if (n == nullptr) return false;
-  now_ = n->t;
+  if (count_ == 0) return false;
+  const Entry next = ring_[head_];
+  head_ = (head_ + 1) & (ring_.size() - 1);
+  --count_;
+  now_ = next.t;
   ++executed_;
   // Move the action out and recycle the node *before* invoking: the event
   // body usually schedules the next event, which then reuses this hot node.
-  Action fn = std::move(n->fn);
-  release(n);
+  Action fn = std::move(next.n->fn);
+  release(next.n);
   fn();
   return true;
-}
-
-SPAM_HOT bool Engine::due() {
-  if (stopped_) return false;
-  const Node* f = front();  // exact peek: drains buckets up to the global min
-  return f != nullptr && f->t <= run_deadline_;
 }
 
 std::uint64_t Engine::run() { return run_until(kTimeMax); }

@@ -5,18 +5,19 @@
 // design; concurrency in the simulated system is expressed as interleaved
 // events, never as host threads.
 //
-// The queue is a two-level structure ordered by the total order (t, seq):
+// The queue is one circular buffer of (t, node) entries kept sorted by time,
+// with equal times in scheduling order, so the next event is always the
+// entry at the head.  at() finds its slot by binary search, after every
+// entry at or before its own time, which keeps same-time events FIFO by
+// position alone, and opens it by moving the shorter side of the buffer one
+// place outward.  Most queues are shallow (a few to a few dozen pending
+// events) and most events land near the end, so an insert moves a few
+// entries; on deep queues (thousands of events in the full Table 5 run)
+// the shorter side still bounds the move.  Peek and pop are O(1).  The
+// buffer keeps its high-water size: in steady state scheduling an event
+// allocates nothing.
 //
-//   * a near-future *calendar* of power-of-two-width buckets (an O(1)
-//     insert front-end for the short-horizon events that dominate network
-//     simulation), drained bucket-by-bucket into a sorted run vector, and
-//   * the original pooled 4-ary min-heap of event nodes, which absorbs
-//     same-bucket, far-future, and out-of-window events.
-//
-// Because (t, seq) is a total order, neither the heap shape nor the bucket
-// routing can change the execution order: any correct queue pops the exact
-// same sequence.  Nodes are recycled through a free list (steady state
-// performs no heap allocation per event) and each node embeds its action in
+// Nodes are recycled through a free list and each node embeds its action in
 // InlineAction small-buffer storage.  pool_stats() exposes the allocation
 // counters that let benchmarks and tests assert the zero-allocation
 // property.
@@ -28,7 +29,6 @@
 // deadline).
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -67,10 +67,12 @@ class Engine {
   std::uint64_t run_until(Time deadline);
 
   /// True while the active run()/run_until() has an event left to
-  /// execute: not stopped, and the earliest event (exact peek) exists and
-  /// is within the run's deadline.  The one loop test, on the main stack
-  /// and on every fiber stack that hosts the loop.
-  bool due();
+  /// execute: not stopped, and the earliest event exists and is within the
+  /// run's deadline.  The one loop test, on the main stack and on every
+  /// fiber stack that hosts the loop.
+  bool due() const {
+    return !stopped_ && count_ != 0 && ring_[head_].t <= run_deadline_;
+  }
 
   /// Executes the single earliest event.  Returns false if queue empty.
   bool step();
@@ -79,9 +81,7 @@ class Engine {
   void stop() { stopped_ = true; }
 
   bool empty() const { return pending() == 0; }
-  std::size_t pending() const {
-    return heap_.size() + (run_.size() - run_pos_) + calendar_count_;
-  }
+  std::size_t pending() const { return count_; }
 
   /// Enables/disables every proven-equivalent shortcut that hangs off the
   /// engine (elapse skip-ahead here; the network fast path reads the same
@@ -101,50 +101,51 @@ class Engine {
   /// now()+d and now()+d does not cross the active run()/run_until()
   /// deadline, advances the clock directly (no wake timer is scheduled).
   /// Returns false — caller must schedule + yield as usual — otherwise.
-  bool try_skip_elapse(Time d);
+  /// An event at exactly now()+d denies: per-hop mode would run it before
+  /// the wake timer, which would be scheduled after it.
+  bool try_skip_elapse(Time d) {
+    if (!fastpath_ || stopped_) return false;
+    const Time target = now_ + d;
+    if (target > run_deadline_) return false;
+    if (count_ != 0 && ring_[head_].t <= target) return false;
+    now_ = target;
+    return true;
+  }
 
   /// Total events executed since construction (monotonic; host-perf metric).
   std::uint64_t events_executed() const { return executed_; }
 
   /// Allocation counters for the event core.  In steady state (after
-  /// warmup) scheduling events must not change `nodes_allocated` or
-  /// `action_heap_fallbacks`: that is the zero-allocation invariant
-  /// SteadyState.* asserts.
+  /// warmup) scheduling events must not change `nodes_allocated`,
+  /// `queue_capacity` or `action_heap_fallbacks`: that is the
+  /// zero-allocation invariant SteadyState.* asserts.
   struct PoolStats {
     std::uint64_t nodes_allocated = 0;      // pool growth, total nodes ever
     std::uint64_t nodes_free = 0;           // currently on the free list
     std::uint64_t nodes_live = 0;           // currently queued
     std::uint64_t action_heap_fallbacks = 0;  // InlineAction heap closures
+    std::uint64_t queue_capacity = 0;       // event buffer's high water
   };
   PoolStats pool_stats() const {
     return {nodes_allocated_, nodes_free_, pending(),
-            InlineAction::heap_fallbacks()};
+            InlineAction::heap_fallbacks(), ring_.size()};
   }
 
  private:
   struct Node {
-    Time t = 0;
-    std::uint64_t seq = 0;  // tie-breaker: FIFO among same-time events
     Action fn;
-    Node* next_free = nullptr;  // free-list link; doubles as bucket chain
+    Node* next_free = nullptr;  // free-list link
   };
 
-  static bool earlier(const Node* a, const Node* b) {
-    return a->t < b->t || (a->t == b->t && a->seq < b->seq);
-  }
+  /// One queued event.  The time lives in the entry, not the node, so the
+  /// binary search and the peek read the buffer alone.
+  struct Entry {
+    Time t;
+    Node* n;
+  };
 
   Node* acquire();
   void release(Node* n);
-  void sift_up(std::size_t i);
-  void sift_down(std::size_t i);
-  Node* heap_pop();
-
-  /// Earliest queued node (exact — drains calendar buckets as needed), or
-  /// nullptr when nothing is pending.
-  Node* front();
-  Node* pop_min();
-  std::uint64_t next_nonempty_bucket() const;
-  void drain_bucket(std::uint64_t b);
 
   // Node storage: fixed-size blocks keep node addresses stable while the
   // pool grows; the free list threads through recycled nodes.
@@ -154,33 +155,17 @@ class Engine {
   std::uint64_t nodes_allocated_ = 0;
   std::uint64_t nodes_free_ = 0;
 
-  std::vector<Node*> heap_;  // 4-ary min-heap ordered by (t, seq)
+  // Pending events sorted by (t, scheduling order) in a circular buffer
+  // whose size is a power of two: the i-th next event is
+  // ring_[(head_ + i) & (ring_.size() - 1)], so ring_[head_] is the next
+  // event to run.
+  std::vector<Entry> ring_;
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
 
-  // Near-future calendar: bucket b holds events with t >> kBucketShift == b
-  // for absolute bucket indices in (drained_through_,
-  // drained_through_ + kBuckets].  Buckets are LIFO-linked through
-  // Node::next_free and re-sorted on drain; a bitmap tracks non-empty
-  // slots so the next bucket is a couple of word scans away.
-  static constexpr std::uint64_t kBucketShift = 10;  // 1.024 us buckets
-  static constexpr std::uint64_t kBuckets = 1024;    // ~1.05 ms window
-  static constexpr std::uint64_t kBucketMask = kBuckets - 1;
-  static constexpr std::size_t kBitmapWords = kBuckets / 64;
-  std::array<Node*, kBuckets> bucket_{};
-  std::array<std::uint64_t, kBitmapWords> bucket_bits_{};
-  std::uint64_t drained_through_ = 0;  // all calendar entries sit above this
-  std::size_t calendar_count_ = 0;
-  // Earliest non-empty bucket (valid iff calendar_count_ > 0): maintained
-  // O(1) on insert, recomputed from the bitmap only on drain, so the hot
-  // peek/pop path never scans.
-  std::uint64_t cal_min_bucket_ = 0;
-
-  // Drained-bucket staging: sorted ascending by (t, seq); run_pos_ is the
-  // consumed prefix.  Everything here precedes everything still bucketed.
-  std::vector<Node*> run_;
-  std::size_t run_pos_ = 0;
+  void grow();
 
   Time now_ = 0;
-  std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   // True outside run()/run_until() and after stop(): nothing is due.
   bool stopped_ = true;

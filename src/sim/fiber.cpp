@@ -79,8 +79,9 @@ __attribute__((always_inline)) inline void Fiber::switch_stack(Fiber* from,
   s.on_stack = to;
 #if defined(SPAM_SIM_TSAN_FIBERS)
   if (from == nullptr) s.main_tsan = __tsan_get_current_fiber();
-  if (to != nullptr && to->tsan_fiber_ == nullptr)
+  if (to != nullptr && to->tsan_fiber_ == nullptr) {
     to->tsan_fiber_ = __tsan_create_fiber(0);
+  }
   __tsan_switch_to_fiber(to != nullptr ? to->tsan_fiber_ : s.main_tsan, 0);
 #endif
 #if defined(SPAM_SIM_UCONTEXT_FIBER)

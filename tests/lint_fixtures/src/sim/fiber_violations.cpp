@@ -12,6 +12,12 @@ inline void announce_out_of_line(void* f) {
   __tsan_switch_to_fiber(f, 0);  // EXPECT: fiber-tsan-inline
 }
 
+inline void announce_in_block_out_of_line(void* f) {
+  if (f != nullptr) {
+    __tsan_switch_to_fiber(f, 0);  // EXPECT: fiber-tsan-inline
+  }
+}
+
 __attribute__((always_inline)) inline void announce_inline(void* f) {
   __tsan_switch_to_fiber(f, 0);  // inlined into the switching frame: ok
 }

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -94,10 +95,10 @@ TEST(Engine, NestedSchedulingChains) {
   EXPECT_EQ(e.now(), 1000u);
 }
 
-TEST(Engine, CalendarOrdersAcrossBucketsAndHeap) {
-  // Mix of near (calendar-bucket) and far (heap, beyond the ~1 ms bucket
-  // window) events, scheduled in scrambled order, must still execute in
-  // exact (t, seq) order.
+TEST(Engine, OrdersNearAndFarEvents) {
+  // Near (sub-microsecond to sub-millisecond) and far (tens of
+  // milliseconds) events, scheduled in scrambled order, must execute in
+  // time order.
   Engine e;
   std::vector<Time> fired;
   const std::vector<Time> times = {5,          kMsec * 50, 1023,      1024,
@@ -112,10 +113,10 @@ TEST(Engine, CalendarOrdersAcrossBucketsAndHeap) {
   EXPECT_EQ(fired, expect);
 }
 
-TEST(Engine, CalendarRebasesAfterLongIdleJump) {
-  // After the clock jumps far past the bucket window, short-horizon events
-  // must keep landing in calendar buckets (the window rebases), and order
-  // must stay exact.
+TEST(Engine, OrdersShortHorizonEventsAfterLongIdleJump) {
+  // After the clock jumps a whole second ahead, events scheduled a few
+  // nanoseconds to milliseconds past the new now() must still run in time
+  // order.
   Engine e;
   std::vector<int> order;
   e.at(kSec, [&] {
@@ -128,16 +129,15 @@ TEST(Engine, CalendarRebasesAfterLongIdleJump) {
   EXPECT_EQ(e.now(), kSec + kMsec * 10);
 }
 
-TEST(Engine, SameTimeFifoAcrossCalendarAndHeap) {
-  // Same-instant events must run in scheduling order even when some were
-  // queued while the instant was beyond the bucket window (heap) and some
-  // after it entered the window (calendar).
+TEST(Engine, SameTimeFifoAcrossSchedulingDistances) {
+  // Same-instant events must run in scheduling order whether they were
+  // queued far ahead of the instant or just before it.
   Engine e;
   std::vector<int> order;
-  const Time t = kMsec * 20;  // beyond the window at schedule time
+  const Time t = kMsec * 20;  // 20 ms ahead at schedule time
   e.at(t, [&] { order.push_back(0); });
   e.at(kMsec * 19, [&] {
-    // Now t is within the window: these land in a calendar bucket.
+    // Now t is 1 ms ahead, with an earlier same-time event already queued.
     e.at(t, [&] { order.push_back(1); });
     e.at(t, [&] { order.push_back(2); });
   });
@@ -165,8 +165,8 @@ TEST(Engine, TrySkipElapseRespectsQueuedEvents) {
 }
 
 TEST(Engine, TrySkipElapseUsesExactNextEvent) {
-  // The queued event sits in a calendar bucket that starts (2048 ns)
-  // before the skip target; only its exact time (3000 ns) may deny.
+  // Only the queued event's exact time (3000 ns) may deny a skip, so a
+  // skip to 2500 ns, 500 ns short of it, is allowed.
   Engine e;
   e.set_fastpath(true);
   bool ran = false;
@@ -185,6 +185,85 @@ TEST(Engine, TrySkipElapseDisabledInPerHopMode) {
   e.set_fastpath(false);
   e.at(0, [&] { EXPECT_FALSE(e.try_skip_elapse(10)); });
   e.run();
+}
+
+// Reference model: the engine must run events in the order of a stable
+// sort of (time after clamping to now(), scheduling order).  The workload
+// mixes clustered equal times, past times (clamped), far-future times and
+// events scheduled from inside events, and runs in run_until() slices so
+// the clock and queue persist across runs.
+TEST(Engine, MatchesStableSortReference) {
+  struct Scheduled {
+    Time t;  // clamped time the event must run at
+    int id;  // scheduling order
+  };
+  Engine e;
+  Rng rng(2024);
+  std::vector<Scheduled> scheduled;
+  std::vector<int> ran;
+  std::vector<Time> ran_at;
+  constexpr int kEvents = 60000;
+  int next_id = 0;
+  std::size_t max_pending = 0;
+
+  // Picks a target time relative to now(): equal-time clusters, the past,
+  // the near future and the far future.
+  auto pick = [&]() -> Time {
+    const Time now = e.now();
+    switch (rng.next_below(6)) {
+      case 0: return now;                                 // same instant
+      case 1: return now - std::min<Time>(now, 1 + rng.next_below(500));
+      case 2: return now + 10 * rng.next_below(4);        // tight cluster
+      case 3: return now + rng.next_below(2000);          // near future
+      case 4: return now + kMsec * (1 + rng.next_below(50));  // far future
+      default:  // one of the next three whole microseconds
+        return (now / kUsec + 1 + rng.next_below(3)) * kUsec;
+    }
+  };
+  std::function<void(int)> body;
+  auto schedule = [&] {
+    if (next_id >= kEvents) return;
+    const Time t = pick();
+    const int id = next_id++;
+    scheduled.push_back({std::max(t, e.now()), id});
+    e.at(t, [&body, id] { body(id); });
+    max_pending = std::max(max_pending, e.pending());
+  };
+  body = [&](int id) {
+    ran.push_back(id);
+    ran_at.push_back(e.now());
+    // Each event schedules zero to two more from inside itself.
+    const std::uint64_t children = rng.next_below(3);
+    for (std::uint64_t c = 0; c < children; ++c) schedule();
+  };
+
+  // Seed the queue from outside any event, then run in 5 us slices,
+  // topping the queue up between slices until every event has been
+  // scheduled.  A slice that finds nothing due steps to the next event.
+  for (int i = 0; i < 200; ++i) schedule();
+  Time deadline = 0;
+  while (!e.empty() || next_id < kEvents) {
+    if (e.empty()) schedule();
+    deadline += 5 * kUsec;
+    if (e.run_until(deadline) == 0 && e.step()) deadline = e.now();
+    for (int i = 0; i < 5; ++i) schedule();
+  }
+
+  ASSERT_EQ(ran.size(), static_cast<std::size_t>(kEvents));
+  // Far-future events pile up: the queue must get deep enough that inserts
+  // move either side of the buffer and the buffer grows several times.
+  EXPECT_GT(max_pending, 1024u);
+  std::vector<Scheduled> expect = scheduled;
+  std::stable_sort(expect.begin(), expect.end(),
+                   [](const Scheduled& a, const Scheduled& b) {
+                     return a.t < b.t;
+                   });
+  // stable_sort of the scheduling-ordered list is (time, scheduling
+  // order): the engine's contract.
+  for (std::size_t i = 0; i < expect.size(); ++i) {
+    ASSERT_EQ(ran[i], expect[i].id) << "at position " << i;
+    ASSERT_EQ(ran_at[i], expect[i].t) << "at position " << i;
+  }
 }
 
 TEST(TimeHelpers, Conversions) {

@@ -119,6 +119,15 @@ TEST(SpamLint, HotPathRules) { check_fixture("src/sim/hot_violations.cpp"); }
 
 TEST(SpamLint, FiberRules) { check_fixture("src/sim/fiber_violations.cpp"); }
 
+// A TSan announcement inside an if/for/while/switch block of an
+// always_inline function is inlined with it: the rule must climb past the
+// control blocks to the function's own signature.
+TEST(SpamLint, TsanCallInControlBlockOfInlineFunctionIsClean) {
+  const RunResult r = run_lint(lint_args("src/sim/fiber_tsan_blocks.cpp"));
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_EQ(r.output, "");
+}
+
 TEST(SpamLint, ChargeLoopRules) {
   check_fixture("src/splitc/charge_violations.cpp");
 }

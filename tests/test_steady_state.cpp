@@ -126,6 +126,7 @@ void expect_no_growth(const AllocCounters& a) {
   EXPECT_EQ(a.event_nodes, 0u);
   EXPECT_EQ(a.heap_actions, 0u);
   EXPECT_EQ(a.payload_buffers, 0u);
+  EXPECT_EQ(a.event_queue, 0u);
 }
 
 TEST(SteadyState, PingPongRttAnchorIs51_3418us) {

@@ -22,7 +22,9 @@
 #   perfbench      builds the separate host-time benchmark package
 #                  (.bench_build/perfbench) against the current src/, runs
 #                  a 1 s am_micro pass (checks both anchors and every
-#                  pass's outputs), and its C++ and Python unit tests
+#                  pass's outputs), every workload traced at seed 1 against
+#                  the exact counters in tools/perf_counters.txt, and its
+#                  C++ and Python unit tests
 #   asan           -fsanitize=address build + full suite
 #   ubsan          -fsanitize=undefined (no recovery) build + full suite
 #   tsan           ThreadSanitizer build + the `driver` label tests
@@ -108,11 +110,14 @@ if ! skipped build; then
 fi
 
 if ! skipped perfbench; then
-  note "perfbench am_micro smoke + the benchmark's own tests"
+  note "perfbench am_micro smoke, exact counters + the benchmark's own tests"
   # Nothing else builds the perfbench package, so this stage is what keeps
   # a src/ API change from silently breaking the benchmark.  run.py exits
   # nonzero when any operation fails verification.
   python3 perfbench/run.py --workload am_micro --seed 1 --seconds 1 --trace 0
+  # Events, wakes, pool growth and packets are exact: any difference from
+  # the committed values fails until the change updates the file.
+  python3 tools/check_perf_counters.py
   cmake --build .bench_build/perfbench -j "$JOBS" --target perfbench_tests
   ./.bench_build/perfbench/perfbench_tests
   python3 -m unittest discover -s perfbench -p 'test_*.py'

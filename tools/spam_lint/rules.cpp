@@ -510,6 +510,22 @@ void check_debt_now(RuleContext& ctx) {
 // fiber-*: patterns that break under fiber stack switching.
 // ---------------------------------------------------------------------------
 
+// True when the ')' at `close` ends the parenthesised head of a control
+// statement (`if (...)`, `for (...)`, ...), whose '{' opens a nested block.
+bool is_control_block(const std::vector<Token>& toks, std::size_t close) {
+  int depth = 0;
+  for (std::size_t j = close + 1; j-- > 0;) {
+    if (toks[j].text == ")") ++depth;
+    if (toks[j].text == "(" && --depth == 0) {
+      if (j == 0) return false;
+      const std::string& kw = toks[j - 1].text;
+      return kw == "if" || kw == "for" || kw == "while" || kw == "switch" ||
+             kw == "catch" || kw == "constexpr";
+    }
+  }
+  return false;
+}
+
 void check_fiber_safety(RuleContext& ctx) {
   const auto& toks = ctx.file.tokens;
 
@@ -557,7 +573,9 @@ void check_fiber_safety(RuleContext& ctx) {
       {
         // The enclosing '{' may belong to a nested block; keep climbing
         // until the token before the candidate brace closes a parameter
-        // list (a function signature) or we run out.
+        // list (a function signature) or we run out.  A ')' that closes
+        // the condition of an if/for/while/switch/catch opens a nested
+        // block, not a function.
         std::size_t sig_end = open;
         for (;;) {
           std::size_t k = sig_end;
@@ -565,13 +583,13 @@ void check_fiber_safety(RuleContext& ctx) {
           while (k-- > 0) {
             const std::string& p = toks[k].text;
             if (p == ")") {
-              is_function = true;
+              is_function = !is_control_block(toks, k);
               break;
             }
             if (p == ";" || p == "{" || p == "}") break;
           }
           if (is_function || sig_end == 0) break;
-          // Nested bare block: climb to the next enclosing '{'.
+          // Nested block: climb to the next enclosing '{'.
           int d = 0;
           std::size_t next_open = 0;
           for (std::size_t j = sig_end; j-- > 0;) {
