@@ -12,12 +12,11 @@ namespace {
 using logp::LogGpMachine;
 using logp::LogGpParams;
 
-// A LogGP world takes the cell's engine shortcuts, as an SpMachine takes
-// them from its SpParams.
+// A LogGP world takes the cell's engine fast path, as an SpMachine takes
+// it from its SpParams.
 double loggp_rtt_us(const LogGpParams& params, Cell c) {
   sim::World w(2);
   w.engine().set_fastpath(c.fastpath);
-  w.engine().set_localclock(c.local_clock);
   LogGpMachine m(w, params);
   std::uint64_t flag0 = 0, flag1 = 0;
   sim::Time rtt = 0;
@@ -42,7 +41,6 @@ double loggp_rtt_us(const LogGpParams& params, Cell c) {
 double loggp_bw_mbps(const LogGpParams& params, Cell c) {
   sim::World w(2);
   w.engine().set_fastpath(c.fastpath);
-  w.engine().set_localclock(c.local_clock);
   LogGpMachine m(w, params);
   const std::size_t len = 1 << 20;
   std::vector<std::byte> src(len, std::byte{3});
@@ -63,7 +61,7 @@ driver::Hasher loggp_key(const char* what, const LogGpParams& p, Cell c) {
   driver::Hasher h(what);
   h.mix(p.o_send_us).mix(p.o_recv_us).mix(p.latency_us).mix(p.gap_us);
   h.mix(p.gap_per_byte_us).mix(p.cpu_scale).mix(p.poll_us);
-  h.mix(c.fastpath).mix(c.local_clock);
+  h.mix(c.fastpath);
   return h;
 }
 

@@ -462,8 +462,7 @@ Hasher& mix(Hasher& h, const sphw::SpParams& p) {
       .mix(p.packet_data_bytes)
       .mix(p.packet_header_bytes)
       .mix(p.lazy_pop_batch)
-      .mix(p.network_fastpath)
-      .mix(p.local_clock);
+      .mix(p.network_fastpath);
 }
 
 namespace {

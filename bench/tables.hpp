@@ -1,6 +1,6 @@
 // Every bench but Table 5/6 is a table function of the mode cell in
 // bench/<name>.cpp, listed once in kBenches: bench/main.cpp runs it in
-// production, tests/test_mode_equivalence.cpp in every other cell.
+// production, tests/test_mode_equivalence.cpp in the other cell.
 #pragma once
 
 #include <string>
@@ -10,22 +10,19 @@
 
 namespace spam::bench {
 
-/// One setting of the two mode switches (SpParams::network_fastpath,
-/// SpParams::local_clock).  They change how virtual time is computed,
-/// never what it is.
+/// One setting of the mode switch (SpParams::network_fastpath).  It
+/// changes how virtual time is computed, never what it is.
 struct Cell {
   bool fastpath;
-  bool local_clock;
 };
 
-inline constexpr Cell kProduction{true, true};
+inline constexpr Cell kProduction{true};
 
 /// Thin (or wide) node parameters in cell `c`.
 inline sphw::SpParams hw(Cell c, bool wide_nodes = false) {
   sphw::SpParams p = wide_nodes ? sphw::SpParams::wide_node()
                                 : sphw::SpParams::thin_node();
   p.network_fastpath = c.fastpath;
-  p.local_clock = c.local_clock;
   return p;
 }
 

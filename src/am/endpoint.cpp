@@ -148,7 +148,7 @@ SPAM_HOT void Endpoint::enqueue_sequenced_packet(sphw::Packet pkt, TxChan& tx,
   // with time, so space seen now is still there after the charge, and the
   // charge can ride the enqueue's settle instead of forcing its own.
   const bool have_space = adapter_.host_send_free() >= 1;
-  ctx_.charge_deferred(sim::usec(params_.bookkeeping_us));
+  ctx_.charge(sim::usec(params_.bookkeeping_us));
   if (!have_space) wait_for_fifo_space();
   adapter_.host_enqueue(ctx_, std::move(pkt), doorbell_npackets);
 }
@@ -480,7 +480,7 @@ void Endpoint::retransmit_from(int dst, std::uint8_t channel,
       // cost model, and this is the rare recovery path
       ctx_.elapse(sim::usec(params_.bookkeeping_us));
       wait_for_fifo_space();
-      adapter_.host_enqueue(ctx_, std::move(copy), /*ring_doorbell=*/false);
+      adapter_.host_enqueue(ctx_, std::move(copy), /*doorbell_npackets=*/0);
       ++in_batch;
     }
     if (in_batch > 0) adapter_.host_doorbell(ctx_, in_batch);
@@ -683,7 +683,7 @@ SPAM_HOT void Endpoint::poll() {
     sphw::Packet pkt = adapter_.host_rx_take(ctx_);
     // spam-lint: charge-ok — per-message handling IS the per-packet cost
     // model; it folds into the take's copy charge
-    ctx_.charge_deferred(sim::usec(params_.per_msg_handling_us));
+    ctx_.charge(sim::usec(params_.per_msg_handling_us));
     // Handlers write memory other nodes' fibers read: run them at this
     // node's virtual instant.
     ctx_.settle();

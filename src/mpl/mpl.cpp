@@ -124,7 +124,7 @@ void MplEndpoint::progress_sends() {
       // spam-lint: charge-ok — per-packet wire cost IS the MPL model;
       // doorbells are already batched 16 deep below
       ctx_.elapse(sim::usec(params_.per_packet_us));
-      adapter_.host_enqueue(ctx_, std::move(pkt), /*ring_doorbell=*/false);
+      adapter_.host_enqueue(ctx_, std::move(pkt), /*doorbell_npackets=*/0);
       ++cr.in_flight;
       ++batched;
       if (last) {
@@ -153,7 +153,7 @@ void MplEndpoint::return_credits(int src) {
   pkt.payload_bytes = 0;
   cr.consumed_unacked = 0;
   ctx_.poll_until([&] { return adapter_.host_send_space(); }, sim::usec(0.5));
-  adapter_.host_enqueue(ctx_, std::move(pkt), /*ring_doorbell=*/true);
+  adapter_.host_enqueue(ctx_, std::move(pkt), /*doorbell_npackets=*/1);
   ++stats_.credit_returns;
 }
 

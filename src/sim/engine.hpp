@@ -90,13 +90,6 @@ class Engine {
   void set_fastpath(bool on) { fastpath_ = on; }
   bool fastpath() const { return fastpath_; }
 
-  /// Enables/disables the node-local virtual clocks (deferred compute
-  /// charging, src/sim/world.cpp).  Independent of the network fast path
-  /// so the two shortcuts can be compared in isolation; ModeEquivalence
-  /// (tests/test_mode_equivalence.cpp) flips it off for the comparison.
-  void set_localclock(bool on) { localclock_ = on; }
-  bool localclock() const { return localclock_; }
-
   /// Fast path for NodeCtx::elapse: if no pending event fires at or before
   /// now()+d and now()+d does not cross the active run()/run_until()
   /// deadline, advances the clock directly (no wake timer is scheduled).
@@ -170,7 +163,6 @@ class Engine {
   // True outside run()/run_until() and after stop(): nothing is due.
   bool stopped_ = true;
   bool fastpath_ = true;
-  bool localclock_ = true;
   // Deadline of the active run()/run_until(): a skipped elapse must not
   // move the clock past the point where control would have returned to
   // the caller.

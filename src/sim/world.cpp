@@ -85,9 +85,8 @@ World::World(int num_nodes, std::uint64_t seed) : root_rng_(seed) {
     nodes_.push_back(std::make_unique<NodeCtx>(*this, r, root_rng_.split(r)));
   }
   // Trace emission is a charge-debt interaction point (the line renders a
-  // timestamp, and settling keeps the trace stream byte-identical between
-  // local-clock modes); idempotent across Worlds — the hook only touches
-  // the thread's running node.
+  // timestamp, which must be the node's settled instant); idempotent across
+  // Worlds — the hook only touches the thread's running node.
   Trace::set_pre_emit_hook(&settle_running_node);
 }
 

@@ -11,11 +11,9 @@
 // engine, and the debt materializes as a single engine sleep only at
 // interaction points — any `elapse()`, `suspend()`, resumer delivery from
 // a fiber, trace emission, cross-node `now()` observation, or fiber exit.
-// Debt is summed with the same uint64-ns additions in the same order the
-// per-call path would have used, so virtual times are bit-identical by
-// construction (DESIGN.md §8).  The engine's `localclock` knob disables
-// deferral of compute charges (`charge` degenerates to `elapse`) for
-// dual-mode comparison.
+// Debt is summed with the same uint64-ns additions in the same order an
+// elapse() per charge would have used, so virtual times are bit-identical
+// by construction (DESIGN.md §8).
 #pragma once
 
 #include <cassert>
@@ -66,20 +64,14 @@ class NodeCtx {
   /// the time is added to this node's debt ledger and materializes as one
   /// engine sleep at the next interaction point.  Exactly equivalent to
   /// elapse(d) for code that performs no engine-visible action before the
-  /// next settlement; use it for pure-compute charges on hot paths.
+  /// next settlement; use it for pure-compute charges on hot paths.  The
+  /// adapter and AM layers charge their fiber-local per-packet costs (FIFO
+  /// store and flush, doorbell access, copy-out, protocol bookkeeping) this
+  /// way.
   void charge(Time d);
 
   /// Charges fractional microseconds of deferred CPU time.
   void charge_us(double us) { charge(usec(us)); }
-
-  /// Like charge(), but deferred in both local-clock modes.  The adapter
-  /// and AM layers charge their fiber-local per-packet costs (FIFO store
-  /// and flush, doorbell access, copy-out, protocol bookkeeping) this way.
-  /// Per-call elapses would draw the final wake's tie-break seq at the last
-  /// charge instead of the first, which can reorder same-instant events of
-  /// other nodes; keeping these costs merged in both modes leaves
-  /// local_clock = false a per-call reference for application compute only.
-  void charge_deferred(Time d);
 
   /// Materializes any outstanding charge debt as a single engine sleep.
   /// No-op when the ledger is empty.  Every path that yields the fiber or
@@ -205,14 +197,6 @@ inline Time NodeCtx::now() {
 }
 
 inline void NodeCtx::charge(Time d) {
-  if (!engine().localclock()) {
-    elapse(d);
-    return;
-  }
-  charge_deferred(d);
-}
-
-inline void NodeCtx::charge_deferred(Time d) {
   assert(Fiber::current() == fiber_ && "charge() must run on the node fiber");
   debt_ += d;
 }

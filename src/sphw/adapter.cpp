@@ -74,7 +74,7 @@ SPAM_HOT void Tb2Adapter::host_enqueue(sim::NodeCtx& ctx, Packet pkt,
   const int lines =
       (static_cast<int>(entry_bytes) + params_.cache_line_bytes - 1) /
       params_.cache_line_bytes;
-  ctx.charge_deferred(ceil_us(entry_bytes * params_.host_write_us_per_byte +
+  ctx.charge(ceil_us(entry_bytes * params_.host_write_us_per_byte +
                               lines * params_.flush_line_us));
   ++send_fifo_used_;
   // spam-lint: capacity-ok (bounded by the send-FIFO depth; the deque
@@ -88,7 +88,7 @@ SPAM_HOT void Tb2Adapter::host_doorbell(sim::NodeCtx& ctx, int npackets) {
          npackets <= static_cast<int>(awaiting_doorbell_.size()));
   // One store across the MicroChannel covers several length-array slots;
   // the adapter starts fetching at the caller's settled instant.
-  ctx.charge_deferred(ceil_us(params_.mc_access_us));
+  ctx.charge(ceil_us(params_.mc_access_us));
   ctx.settle();
   ++stats_.doorbells;
   for (int i = 0; i < npackets; ++i) {
@@ -320,7 +320,7 @@ SPAM_HOT Packet Tb2Adapter::host_rx_take(sim::NodeCtx& ctx) {
   rx_queue_.pop_front();
 
   // Copy the entry out of the FIFO into user buffers.
-  ctx.charge_deferred(
+  ctx.charge(
       ceil_us(pkt.wire_bytes(params_) * params_.host_copy_us_per_byte));
 
   // Lazy pop: the entry is only returned to the adapter every
@@ -331,7 +331,7 @@ SPAM_HOT Packet Tb2Adapter::host_rx_take(sim::NodeCtx& ctx) {
 
 SPAM_HOT void Tb2Adapter::host_rx_flush_pops(sim::NodeCtx& ctx) {
   if (pops_owed_ == 0) return;
-  ctx.charge_deferred(ceil_us(params_.mc_access_us));
+  ctx.charge(ceil_us(params_.mc_access_us));
   // In-flight arrivals observe the freed entries: release them at the
   // caller's settled instant.
   ctx.settle();

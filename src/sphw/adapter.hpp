@@ -36,11 +36,11 @@
 //
 // --- Host costs and the local clock ----------------------------------------
 // The host-side FIFO store, cache flush, doorbell access and copy-out are
-// fiber-local CPU time, charged as NodeCtx debt (charge_deferred()).  Every
+// fiber-local CPU time, charged as NodeCtx debt (charge()).  Every
 // host call that touches engine-visible state settles the calling node
 // first (the queries below, the doorbell's submit, the lazy pop's FIFO
 // release), so a run of charges materializes as one engine sleep at exactly
-// the instant the per-call path reaches.
+// the instant an elapse() per charge would reach.
 #pragma once
 
 #include <cstddef>

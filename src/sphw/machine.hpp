@@ -21,7 +21,6 @@ class SpMachine {
     // One switch for every engine-level shortcut (fused deliveries, elapse
     // skip-ahead, lazy FIFO frees): params.network_fastpath.
     world.engine().set_fastpath(params.network_fastpath);
-    world.engine().set_localclock(params.local_clock);
     adapters_.reserve(world.size());
     for (int n = 0; n < world.size(); ++n) {
       adapters_.push_back(std::make_unique<Tb2Adapter>(

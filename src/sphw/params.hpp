@@ -60,16 +60,6 @@ struct SpParams {
   /// does this for every point of every paper table and figure).
   bool network_fastpath = true;
 
-  /// Node-local virtual clocks: NodeCtx::charge() defers compute charges
-  /// into a per-node debt ledger, settled as one engine sleep at the next
-  /// interaction point (communication, suspend, trace, cross-node now()).
-  /// Virtual times are bit-identical by construction; flip off to force
-  /// every charge through the engine (tests/test_mode_equivalence.cpp
-  /// does this for every point of every paper table and figure).
-  /// Independent of network_fastpath so the shortcuts compare in
-  /// isolation.
-  bool local_clock = true;
-
   /// Default thin-node (model 390) calibration.
   static SpParams thin_node() { return SpParams{}; }
 

@@ -54,10 +54,10 @@ class SplitCWorld {
         }
         break;
       case Backend::kLogGp:
-        // No SpMachine wires the engine knobs on this path; the LogGP
-        // model still shares the fiber layer, so the local-clock knob
-        // comes from hw like everywhere else.
-        world_.engine().set_localclock(cfg_.hw.local_clock);
+        // No SpMachine wires the engine's fast path on this path; the
+        // LogGP model still shares the engine, so the switch comes from hw
+        // like everywhere else.
+        world_.engine().set_fastpath(cfg_.hw.network_fastpath);
         logp_ = std::make_unique<logp::LogGpMachine>(world_, cfg_.loggp);
         for (int n = 0; n < cfg_.nodes; ++n) {
           backends_.push_back(

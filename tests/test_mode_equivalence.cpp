@@ -1,20 +1,18 @@
-// Mode-equivalence suite for the two host-side shortcuts.
+// Mode-equivalence suite for the network fast path.
 //
-// Two SpParams knobs change how the simulator computes virtual time, never
-// what it computes: `network_fastpath` (fused deliveries and merged wakes
-// instead of the per-hop reference event chain) and `local_clock` (charges
-// accumulate into a per-node debt ledger that materializes as one engine
-// event at the next interaction point, instead of one engine elapse per
-// charge).  Production runs with both on.  Every paper output runs in each
-// of the other three cells — (on,off), (off,on) and (off,off) — and must
-// equal production bit for bit: each scalar bench's table function
-// (bench/tables.hpp) whole, point by point and as text, and the Table 5/6
-// apps case by case, also warm — three repetitions in one world, where the
-// third must match and allocate nothing in either cell.
+// SpParams::network_fastpath changes how the simulator computes virtual
+// time, never what it computes: fused deliveries, merged wakes and elapse
+// skip-ahead instead of the per-hop reference event chain.  Production
+// runs with it on.  Every paper output runs in the other cell, with it
+// off, and must equal production bit for bit: each scalar bench's table
+// function (bench/tables.hpp) whole, point by point and as text, and the
+// Table 5/6 apps case by case, also warm — three repetitions in one world,
+// where the third must match and allocate nothing in either cell.
 //
-// The suite ends with two seeded single-knob fuzzers: a congestion fuzz
-// that forces mid-flight fast-path disengagement, and a clock fuzz over
-// the raw World layer with suspends, racing resumers and mid-debt wakes.
+// The suite ends with two seeded fuzzers: a congestion fuzz that forces
+// mid-flight fast-path disengagement, and a clock fuzz over the raw World
+// layer (suspends, racing resumers, mid-debt wakes) that holds the
+// node-local clock's deferred charge() to an elapse() per charge.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -58,25 +56,38 @@ splitc::SplitCConfig splitc_cfg(Cell c, splitc::Backend backend =
   return cfg;
 }
 
-const auto kOtherCells = ::testing::Values(Cell{true, false}, Cell{false, true},
-                                           Cell{false, false});
+/// A case's parameter.  gtest prints it into the ctest name ("2-byte
+/// object <00-01>"), so it keeps the layout it had when the node-local
+/// clock was a second switch: `clock_on` is true in every cell.
+struct CaseCell {
+  Cell cell;
+  bool clock_on = true;
+};
 
-std::string cell_name(Cell c) {
-  return std::string(c.fastpath ? "FastpathOn" : "FastpathOff") +
-         (c.local_clock ? "_LocalClockOn" : "_LocalClockOff");
+/// The one non-production cell: the per-hop reference network.
+const auto kOtherCells = ::testing::Values(CaseCell{Cell{false}});
+
+std::string cell_name(CaseCell c) {
+  return std::string(c.cell.fastpath ? "FastpathOn" : "FastpathOff") +
+         "_LocalClockOn";
 }
 
-class ModeEquivalence : public ::testing::TestWithParam<Cell> {
+/// A world that ignored its cell would compare production with itself.
+void expect_cell(const sim::Engine& engine, Cell c) {
+  EXPECT_EQ(engine.fastpath(), c.fastpath);
+}
+
+class ModeEquivalence : public ::testing::TestWithParam<CaseCell> {
  protected:
   /// Runs `f` in this case's cell and in production; both must be equal.
   template <typename F>
   void expect_same_as_production(F&& f) {
-    EXPECT_EQ(f(GetParam()), f(kProduction));
+    EXPECT_EQ(f(GetParam().cell), f(kProduction));
   }
 };
 
 INSTANTIATE_TEST_SUITE_P(Cells, ModeEquivalence, kOtherCells,
-                         [](const ::testing::TestParamInfo<Cell>& info) {
+                         [](const ::testing::TestParamInfo<CaseCell>& info) {
                            return cell_name(info.param);
                          });
 
@@ -84,7 +95,7 @@ INSTANTIATE_TEST_SUITE_P(Cells, ModeEquivalence, kOtherCells,
 
 // An index into kBenches: a pointer's bytes would end up in the ctest name.
 class BenchModeEquivalence
-    : public ::testing::TestWithParam<std::tuple<std::size_t, Cell>> {};
+    : public ::testing::TestWithParam<std::tuple<std::size_t, CaseCell>> {};
 
 INSTANTIATE_TEST_SUITE_P(
     Benches, BenchModeEquivalence,
@@ -97,7 +108,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST_P(BenchModeEquivalence, EveryPointAndText) {
-  const auto [index, cell] = GetParam();
+  const auto [index, param] = GetParam();
+  const Cell cell = param.cell;
   const bench::BenchTables& b = bench::kBenches[index];
   driver::ResultCache& cache = driver::ResultCache::instance();
   cache.clear();  // both record passes must see every point as a miss
@@ -145,15 +157,18 @@ TEST_P(ModeEquivalence, Table5SplitCApps) {
     std::vector<PhaseKey> runs;
     {
       splitc::SplitCWorld w(splitc_cfg(c));
+      expect_cell(w.world().engine(), c);
       runs.push_back(phase_key(apps::run_matmul(w, /*nb=*/4, /*bd=*/16)));
     }
     for (auto variant :
          {apps::SortVariant::kSmallMessage, apps::SortVariant::kBulk}) {
       {
         splitc::SplitCWorld w(splitc_cfg(c));
+        expect_cell(w.world().engine(), c);
         runs.push_back(phase_key(apps::run_sample_sort(w, 4096, variant)));
       }
       splitc::SplitCWorld w(splitc_cfg(c));
+      expect_cell(w.world().engine(), c);
       runs.push_back(phase_key(apps::run_radix_sort(w, 2048, variant)));
     }
     return runs;
@@ -168,9 +183,11 @@ TEST_P(ModeEquivalence, Table5LogGpBackend) {
     std::vector<PhaseKey> runs;
     {
       splitc::SplitCWorld w(splitc_cfg(c, splitc::Backend::kLogGp));
+      expect_cell(w.world().engine(), c);
       runs.push_back(phase_key(apps::run_matmul(w, /*nb=*/4, /*bd=*/16)));
     }
     splitc::SplitCWorld w(splitc_cfg(c, splitc::Backend::kLogGp));
+    expect_cell(w.world().engine(), c);
     runs.push_back(phase_key(
         apps::run_sample_sort(w, 4096, apps::SortVariant::kSmallMessage)));
     return runs;
@@ -198,6 +215,7 @@ TEST_P(ModeEquivalence, Table6NasKernels) {
     std::vector<std::tuple<bool, double, double>> runs;
     for (const NasKernel& k : kNasKernels) {
       mpi::MpiWorld w(nas_cfg(c));
+      expect_cell(w.world().engine(), c);
       const apps::NasResult r = k.run(w, k.n, /*iters=*/1);
       EXPECT_TRUE(r.finished) << k.name;
       runs.emplace_back(r.finished, r.checksum, r.time_s);
@@ -285,6 +303,7 @@ TEST_P(ModeEquivalence, WarmTable5SplitCThirdRep) {
     SCOPED_TRACE(app.name);
     expect_same_as_production([&](Cell c) {
       splitc::SplitCWorld w(splitc_cfg(c));
+      expect_cell(w.world().engine(), c);
       return third_rep(w.world().engine(), [&] { return app.run(w); });
     });
   }
@@ -295,6 +314,7 @@ TEST_P(ModeEquivalence, WarmTable6NasThirdRep) {
     SCOPED_TRACE(k.name);
     expect_same_as_production([&](Cell c) {
       mpi::MpiWorld w(nas_cfg(c));
+      expect_cell(w.world().engine(), c);
       return third_rep(w.world().engine(),
                        [&] { return from_nas(k.run(w, k.n, /*iters=*/1)); });
     });
@@ -329,7 +349,7 @@ FuzzOutcome run_congestion_fuzz(bool fastpath, std::uint64_t seed) {
 
   FuzzOutcome out;
   sim::World w(kNodes);
-  sphw::SpMachine m(w, hw({fastpath, /*local_clock=*/true}));
+  sphw::SpMachine m(w, hw({fastpath}));
 
   // One fiber per node (the World contract: one NodeCtx, one program).
   // Nodes 0..2 alternate sending bursts with draining their own receive
@@ -437,7 +457,9 @@ TEST(FastpathEquivalence, CongestionFuzzForcesRollbacks) {
 // a node arms its resumer, charges more debt, then suspend() settles —
 // which yields — so a peer can fire the resumer before the suspend
 // consumes it (a latched, mid-debt wake).  Node 0 never suspends and
-// drains the mailbox after the deadline so no wake is ever lost.
+// drains the mailbox after the deadline so no wake is ever lost.  The
+// reference run calls elapse() wherever the production run calls
+// charge(): one engine sleep per charge.
 //
 // The fuzz keeps every node's shared-state touches at a *distinct* virtual
 // instant: all durations are multiples of kFuzzNodes, node r's clock stays
@@ -446,8 +468,9 @@ TEST(FastpathEquivalence, CongestionFuzzForcesRollbacks) {
 // contract (DESIGN.md §8) guarantees bit-identical per-node virtual times
 // and engine-ordered effects, not the seq tie-break among *different*
 // nodes' events at the same tick: deferral collapses a run of charge wakes
-// into one settle wake whose seq is assigned earlier, so exact-tie order
-// against an unrelated third event can permute.  The protocol stack never
+// into one settle wake whose seq is assigned earlier than the reference's
+// last elapse wake, so exact-tie order against an unrelated third event
+// can permute.  The protocol stack never
 // races shared host state at tied instants (the paper-workload suites
 // above are the byte-identical proof); a fuzz that did would test an
 // ordering no layer relies on.
@@ -457,7 +480,7 @@ constexpr int kFuzzNodes = 4;
 struct ClockFuzzOutcome {
   // Per-observer streams of (observed node, observed now).  Observations
   // are logged per node, not in one global vector: host-side append order
-  // across nodes is legitimately mode-dependent (a deferred-mode node runs
+  // across nodes legitimately differs between the runs (a charging node runs
   // several pure-compute iterations in one resumption), while the *global*
   // interleaving of engine-ordered effects is checked via the trace
   // stream, whose emission settles first.
@@ -465,13 +488,13 @@ struct ClockFuzzOutcome {
   std::string trace;
 };
 
-ClockFuzzOutcome run_clock_fuzz(bool local_clock, std::uint64_t seed) {
+/// `per_call` runs the reference: each charge() becomes an elapse().
+ClockFuzzOutcome run_clock_fuzz(bool per_call, std::uint64_t seed) {
   constexpr int kNodes = kFuzzNodes;
   const sim::Time kDeadline = sim::usec(4000);
 
   ClockFuzzOutcome out;
   sim::World w(kNodes, seed);
-  w.engine().set_localclock(local_clock);
   sim::Trace::capture_to(&out.trace);
   sim::Trace::enable(sim::TraceCat::kApp);
 
@@ -488,6 +511,13 @@ ClockFuzzOutcome run_clock_fuzz(bool local_clock, std::uint64_t seed) {
       auto q = [](std::uint64_t n) {
         return static_cast<sim::Time>(kNodes) * n;
       };
+      auto charge = [&](sim::Time d) {
+        if (per_call) {
+          ctx.elapse(d);
+        } else {
+          ctx.charge(d);
+        }
+      };
       auto realign = [&] {
         const sim::Time mis = (static_cast<sim::Time>(node) + kNodes -
                                ctx.now() % kNodes) % kNodes;
@@ -497,8 +527,8 @@ ClockFuzzOutcome run_clock_fuzz(bool local_clock, std::uint64_t seed) {
       while (ctx.now() < kDeadline) {
         const std::uint64_t roll = ctx.rng().next_below(100);
         if (roll < 50) {
-          // Fine-grain compute: accumulates debt with the clock on.
-          ctx.charge(q(1 + ctx.rng().next_below(75)));
+          // Fine-grain compute: accumulates debt.
+          charge(q(1 + ctx.rng().next_below(75)));
         } else if (roll < 65) {
           ctx.elapse(q(1 + ctx.rng().next_below(125)));
         } else if (roll < 75) {
@@ -506,6 +536,10 @@ ClockFuzzOutcome run_clock_fuzz(bool local_clock, std::uint64_t seed) {
           // settle this node's debt before reading engine time.
           const int peer = static_cast<int>(ctx.rng().next_below(kNodes));
           log.emplace_back(peer, w.node(peer).now());
+          // A node that is not running owes no charge debt.
+          if (peer != node) {
+            EXPECT_EQ(w.node(peer).debt(), 0u);
+          }
         } else if (roll < 83) {
           sim::Trace::log(sim::TraceCat::kApp, ctx.now(), "n%d mark %llu",
                           node, static_cast<unsigned long long>(marks++));
@@ -517,10 +551,10 @@ ClockFuzzOutcome run_clock_fuzz(bool local_clock, std::uint64_t seed) {
           if (!mailbox.empty()) {
             auto wake = std::move(mailbox.back());
             mailbox.pop_back();
-            ctx.charge(q(1 + ctx.rng().next_below(12)));  // wake mid-debt
+            charge(q(1 + ctx.rng().next_below(12)));  // wake mid-debt
             wake();
           } else {
-            ctx.charge(q(2));
+            charge(q(2));
           }
         } else if (node != 0) {
           // Arm a resumer, pile on debt, then suspend: settle-then-sleep,
@@ -530,7 +564,7 @@ ClockFuzzOutcome run_clock_fuzz(bool local_clock, std::uint64_t seed) {
           // at the waker's instant, so realign before acting again.
           ctx.settle();
           mailbox.push_back(ctx.make_resumer());
-          ctx.charge(q(1 + ctx.rng().next_below(50)));
+          charge(q(1 + ctx.rng().next_below(50)));
           ctx.suspend();
           realign();
         }
@@ -566,8 +600,8 @@ ClockFuzzOutcome run_clock_fuzz(bool local_clock, std::uint64_t seed) {
 
 TEST(LocalClockEquivalence, ClockFuzzMatchesPerChargeReference) {
   for (std::uint64_t seed : {11u, 12u, 13u, 14u}) {
-    const ClockFuzzOutcome slow = run_clock_fuzz(false, seed);
-    const ClockFuzzOutcome fast = run_clock_fuzz(true, seed);
+    const ClockFuzzOutcome slow = run_clock_fuzz(/*per_call=*/true, seed);
+    const ClockFuzzOutcome fast = run_clock_fuzz(/*per_call=*/false, seed);
     std::size_t total = 0;
     for (int n = 0; n < kFuzzNodes; ++n) {
       EXPECT_EQ(slow.samples[static_cast<std::size_t>(n)],

@@ -1,13 +1,13 @@
 // Determinism regression for the event core.
 //
-// The pooled 4-ary heap, InlineAction storage and payload arena are all
-// host-side optimizations: they must not change the virtual execution in
-// any observable way.  This runs an AM bulk exchange workload three ways —
-// twice via run() and once stepped through run_until() in small slices.
-// Repeated free runs must execute identical event counts; the sliced run
-// must reach the same final virtual time, trace, and payload (its event
-// count legitimately differs: an elapse that crosses a slice deadline
-// cannot skip ahead, so it schedules a real wake).
+// The sorted event buffer, its node pool, InlineAction storage and the
+// payload arena are all host-side optimizations: they must not change the
+// virtual execution in any observable way.  This runs an AM bulk exchange
+// workload three ways — twice via run() and once stepped through
+// run_until() in small slices.  Repeated free runs must execute identical
+// event counts; the sliced run must reach the same final virtual time,
+// trace, and payload (its event count legitimately differs: an elapse that
+// crosses a slice deadline cannot skip ahead, so it schedules a real wake).
 #include <gtest/gtest.h>
 
 #include <cstring>

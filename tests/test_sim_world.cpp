@@ -284,17 +284,6 @@ TEST(LocalClock, ElapseFoldsOutstandingDebt) {
   w.run();
 }
 
-TEST(LocalClock, KnobOffChargesImmediately) {
-  World w(1);
-  w.engine().set_localclock(false);
-  w.spawn(0, [&](NodeCtx& ctx) {
-    ctx.charge(100);
-    EXPECT_EQ(ctx.debt(), 0u);
-    EXPECT_EQ(ctx.engine().now(), 100u);
-  });
-  w.run();
-}
-
 TEST(LocalClock, SuspendSettlesBeforeSleeping) {
   World w(2);
   Time woke = 0;

@@ -82,7 +82,7 @@ TEST(Adapter, BatchedDoorbellCostsOneAccess) {
     sim::World w(2);
     SpMachine m(w, params);
     w.spawn(0, [&](sim::NodeCtx& ctx) {
-      m.adapter(0).host_enqueue(ctx, mk(1, 224), /*ring_doorbell=*/false);
+      m.adapter(0).host_enqueue(ctx, mk(1, 224), /*doorbell_npackets=*/0);
       sim::Time before = ctx.now();
       m.adapter(0).host_doorbell(ctx, 1);
       t_one = ctx.now() - before;
@@ -98,7 +98,7 @@ TEST(Adapter, BatchedDoorbellCostsOneAccess) {
     SpMachine m(w, params);
     w.spawn(0, [&](sim::NodeCtx& ctx) {
       for (int i = 0; i < 8; ++i) {
-        m.adapter(0).host_enqueue(ctx, mk(1, 224), /*ring_doorbell=*/false);
+        m.adapter(0).host_enqueue(ctx, mk(1, 224), /*doorbell_npackets=*/0);
       }
       sim::Time before = ctx.now();
       m.adapter(0).host_doorbell(ctx, 8);
@@ -239,7 +239,7 @@ TEST(Adapter, BandwidthApproachesLinkRate) {
     for (int i = 0; i < total; ++i) {
       ctx.poll_until([&] { return m.adapter(0).host_send_space(); },
                      sim::usec(0.2));
-      m.adapter(0).host_enqueue(ctx, mk(1, 224), /*ring_doorbell=*/false);
+      m.adapter(0).host_enqueue(ctx, mk(1, 224), /*doorbell_npackets=*/0);
       if (++rung == 16) {
         m.adapter(0).host_doorbell(ctx, rung);
         rung = 0;
@@ -447,31 +447,37 @@ TEST(Fastpath, RxReadyTimeBoundsALaterSenderOnThreeNodes) {
 // changes are visible right after the charge — exactly as after the
 // equivalent elapse() of the per-call reference.
 TEST(Adapter, QueriesSeeChangesInsideAChargedInterval) {
-  auto run = [](bool local_clock) {
+  auto run = [](bool per_call) {
     SpParams params = SpParams::thin_node();
     params.send_fifo_entries = 1;
-    params.local_clock = local_clock;
     sim::World w(2);
     SpMachine m(w, params);
     int free_before = -1;
     int free_after = -1;
     bool rx_ready = false;
+    auto charge = [per_call](sim::NodeCtx& ctx, sim::Time d) {
+      if (per_call) {
+        ctx.elapse(d);
+      } else {
+        ctx.charge(d);
+      }
+    };
     w.spawn(0, [&](sim::NodeCtx& ctx) {
       m.adapter(0).host_enqueue(ctx, mk(1, 224));
       free_before = m.adapter(0).host_send_free();  // DMA not done yet
-      ctx.charge(sim::usec(100));
+      charge(ctx, sim::usec(100));
       free_after = m.adapter(0).host_send_free();
     });
     w.spawn(1, [&](sim::NodeCtx& ctx) {
-      ctx.charge(sim::usec(100));
+      charge(ctx, sim::usec(100));
       rx_ready = m.adapter(1).host_rx_ready();
     });
     w.run();
     return std::make_tuple(free_before, free_after, rx_ready);
   };
-  const auto per_call = run(/*local_clock=*/false);
+  const auto per_call = run(/*per_call=*/true);
   EXPECT_EQ(per_call, std::make_tuple(0, 1, true));
-  EXPECT_EQ(run(/*local_clock=*/true), per_call);
+  EXPECT_EQ(run(/*per_call=*/false), per_call);
 }
 
 // The send FIFO frees lazily (fast path: no per-entry event), yet each

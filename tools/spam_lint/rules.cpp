@@ -299,8 +299,8 @@ void check_hot_paths(RuleContext& ctx) {
 // ---------------------------------------------------------------------------
 
 // A charge_*()/elapse() call inside a loop body pays one ledger update per
-// element at best — and one full engine sleep (two fiber switches plus an
-// event push/pop) per element when the local clock is off.  The cost model
+// element at best — and one full engine sleep (a fiber switch plus an
+// event push/pop) per element for elapse().  The cost model
 // is additive, so a loop's compute cost folds into a single hoisted
 // `count * unit` charge with identical simulated time.  Where the loop
 // itself *is* the batching (one charge per pass, per destination, per
@@ -310,9 +310,9 @@ void charge_loops_scan(RuleContext& ctx, std::size_t begin, std::size_t end) {
   const std::size_t limit = std::min(end, toks.size());
 
   static const std::unordered_set<std::string> charge_calls = {
-      "charge",         "charge_us",        "charge_deferred",
-      "charge_flops",   "charge_int_ops",   "charge_mem_bytes",
-      "elapse",         "elapse_us",
+      "charge",         "charge_us",        "charge_flops",
+      "charge_int_ops", "charge_mem_bytes", "elapse",
+      "elapse_us",
   };
 
   // Pass 1: mark every token that sits inside some loop body.  Loop bodies
