@@ -6,138 +6,126 @@
 //
 // Sort sizes are scaled to 64K keys (the scan of the paper garbles its key
 // counts); shapes, not absolute seconds, are the reproduction target.
-#include <functional>
+#include <bit>
+#include <stdexcept>
 
 #include "apps/splitc_apps.hpp"
-#include "driver/sweep.hpp"
-#include "harness.hpp"
-#include "micro.hpp"
+#include "tables.hpp"
+
+namespace spam::bench {
 
 namespace {
 
-using spam::apps::PhaseTimes;
-using spam::apps::SortVariant;
-using spam::splitc::Backend;
-using spam::splitc::SplitCConfig;
-using spam::splitc::SplitCWorld;
+using apps::PhaseTimes;
+using apps::SortVariant;
+using splitc::Backend;
+using splitc::SplitCConfig;
+using splitc::SplitCWorld;
 
 constexpr int kProcs = 8;
 constexpr std::size_t kKeys = 64 * 1024;
 
-struct MachineCfg {
+struct Machine {
   std::string name;
   SplitCConfig cfg;
 };
 
-std::vector<MachineCfg> machines() {
-  std::vector<MachineCfg> v;
+std::vector<Machine> machines(Cell c) {
+  std::vector<Machine> v;
   SplitCConfig am;
   am.nodes = kProcs;
   am.backend = Backend::kSpAm;
+  am.hw = hw(c);
   v.push_back({"SP AM", am});
   SplitCConfig mpl = am;
   mpl.backend = Backend::kSpMpl;
   v.push_back({"SP MPL", mpl});
-  for (auto lp : {spam::logp::LogGpParams::cm5(),
-                  spam::logp::LogGpParams::meiko_cs2(),
-                  spam::logp::LogGpParams::unet_atm()}) {
-    SplitCConfig c = am;
-    c.backend = Backend::kLogGp;
-    c.loggp = lp;
-    v.push_back({lp.name, c});
+  for (auto lp : {logp::LogGpParams::cm5(), logp::LogGpParams::meiko_cs2(),
+                  logp::LogGpParams::unet_atm()}) {
+    SplitCConfig cfg = am;
+    cfg.backend = Backend::kLogGp;
+    cfg.loggp = lp;
+    v.push_back({lp.name, cfg});
   }
   return v;
 }
 
-struct BenchDef {
+struct App {
   const char* name;
-  std::function<PhaseTimes(SplitCWorld&)> run;
+  PhaseTimes (*run)(SplitCWorld&);
 };
 
-std::vector<BenchDef> bench_defs() {
-  return {
-      {"mm 4x4 blocks of 128x128",
-       [](SplitCWorld& w) { return spam::apps::run_matmul(w, 4, 128); }},
-      {"mm 16x16 blocks of 16x16",
-       [](SplitCWorld& w) { return spam::apps::run_matmul(w, 16, 16); }},
-      {"smpsort small-msg 64K",
-       [](SplitCWorld& w) {
-         return spam::apps::run_sample_sort(w, kKeys,
-                                            SortVariant::kSmallMessage);
-       }},
-      {"smpsort bulk 64K",
-       [](SplitCWorld& w) {
-         return spam::apps::run_sample_sort(w, kKeys, SortVariant::kBulk);
-       }},
-      {"rdxsort small-msg 64K",
-       [](SplitCWorld& w) {
-         return spam::apps::run_radix_sort(w, kKeys,
-                                           SortVariant::kSmallMessage);
-       }},
-      {"rdxsort bulk 64K",
-       [](SplitCWorld& w) {
-         return spam::apps::run_radix_sort(w, kKeys, SortVariant::kBulk);
-       }},
-  };
+constexpr App kApps[] = {
+    {"mm 4x4 blocks of 128x128",
+     [](SplitCWorld& w) { return apps::run_matmul(w, 4, 128); }},
+    {"mm 16x16 blocks of 16x16",
+     [](SplitCWorld& w) { return apps::run_matmul(w, 16, 16); }},
+    {"smpsort small-msg 64K",
+     [](SplitCWorld& w) {
+       return apps::run_sample_sort(w, kKeys, SortVariant::kSmallMessage);
+     }},
+    {"smpsort bulk 64K",
+     [](SplitCWorld& w) {
+       return apps::run_sample_sort(w, kKeys, SortVariant::kBulk);
+     }},
+    {"rdxsort small-msg 64K",
+     [](SplitCWorld& w) {
+       return apps::run_radix_sort(w, kKeys, SortVariant::kSmallMessage);
+     }},
+    {"rdxsort bulk 64K",
+     [](SplitCWorld& w) {
+       return apps::run_radix_sort(w, kKeys, SortVariant::kBulk);
+     }},
+};
+
+/// One Table 5 cell: `app` on machine `m`, cached as the record
+/// {total_s, comm_s, cpu_s, valid, checksum bits}.
+PhaseTimes phase_times(const App& app, const Machine& m) {
+  driver::Hasher h("table5_splitc");
+  mix(h.mix(app.name).mix(m.name.c_str()), m.cfg.hw);
+  const Record r = cached(h, 5, [app, cfg = m.cfg] {
+    SplitCWorld w(cfg);
+    // A world that ignored its cell would compare production with itself.
+    if (w.world().engine().fastpath() != cfg.hw.network_fastpath) {
+      throw std::logic_error("Table 5 world ignores its mode cell");
+    }
+    const PhaseTimes pt = app.run(w);
+    return Record{pt.total_s, pt.comm_s, pt.cpu_s, pt.valid ? 1.0 : 0.0,
+                  std::bit_cast<double>(pt.checksum)};
+  });
+  return {r[0], r[1], r[2], r[3] != 0, std::bit_cast<std::uint64_t>(r[4])};
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const int jobs = spam::bench::harness_init(argc, argv);
-
-  const auto mach = machines();
-  const auto defs = bench_defs();
-  // results[bench][machine], filled by the parallel sweep below.
-  std::vector<std::vector<PhaseTimes>> results(
-      defs.size(), std::vector<PhaseTimes>(mach.size()));
-
-  spam::driver::SweepRunner(jobs)
-      .run_indexed(defs.size() * mach.size(), [&](std::size_t i) {
-        const std::size_t b = i / mach.size();
-        const std::size_t m = i % mach.size();
-        SplitCWorld w(mach[m].cfg);
-        results[b][m] = defs[b].run(w);
-      });
-
-  spam::report::Table tab(
+std::string table5_splitc(Cell c) {
+  const std::vector<Machine> mach = machines(c);
+  std::vector<std::string> hdr{"benchmark"};
+  for (const Machine& m : mach) hdr.push_back(m.name);
+  report::Table tab(
       "Table 5 — Split-C benchmark times on 8 processors (seconds)");
-  {
-    std::vector<std::string> hdr{"benchmark"};
-    for (const auto& m : mach) hdr.push_back(m.name);
-    tab.set_header(hdr);
-  }
-  for (std::size_t b = 0; b < defs.size(); ++b) {
-    std::vector<std::string> row{defs[b].name};
-    for (std::size_t m = 0; m < mach.size(); ++m) {
-      row.push_back(spam::report::fmt(results[b][m].total_s, 3) +
-                    (results[b][m].valid ? "" : " (INVALID)"));
+  tab.set_header(hdr);
+  report::Table fig(
+      "Figure 4 — cpu / net split, normalized to the SP AM total");
+  fig.set_header(hdr);
+  for (const App& app : kApps) {
+    std::vector<std::string> row{app.name};
+    std::vector<std::string> split{app.name};
+    const double base = phase_times(app, mach[0]).total_s;  // SP AM
+    for (const Machine& m : mach) {
+      const PhaseTimes pt = phase_times(app, m);
+      row.push_back(report::fmt(pt.total_s, 3) +
+                    (pt.valid ? "" : " (INVALID)"));
+      split.push_back("cpu " + report::fmt(pt.cpu_s / base, 2) + " net " +
+                      report::fmt(pt.comm_s / base, 2));
     }
     tab.add_row(row);
+    fig.add_row(split);
   }
-  tab.print();
-
-  spam::report::Table fig(
-      "Figure 4 — cpu / net split, normalized to the SP AM total");
-  {
-    std::vector<std::string> hdr{"benchmark"};
-    for (const auto& m : mach) hdr.push_back(m.name);
-    fig.set_header(hdr);
-  }
-  for (std::size_t b = 0; b < defs.size(); ++b) {
-    std::vector<std::string> row{defs[b].name};
-    const double base = results[b][0].total_s;
-    for (std::size_t m = 0; m < mach.size(); ++m) {
-      row.push_back("cpu " + spam::report::fmt(results[b][m].cpu_s / base, 2) +
-                    " net " +
-                    spam::report::fmt(results[b][m].comm_s / base, 2));
-    }
-    fig.add_row(row);
-  }
-  fig.print();
-
-  std::printf(
-      "\nShape checks (paper): MPL >> AM on small-message sorts; MPL ~= AM "
-      "on bulk runs;\nSP cpu phases shortest of all machines; SP AM net "
-      "phase competitive with CM-5/CS-2\ndespite higher latency.\n");
+  return tab.render() + fig.render() +
+         "\nShape checks (paper): MPL >> AM on small-message sorts; MPL ~= "
+         "AM on bulk runs;\nSP cpu phases shortest of all machines; SP AM "
+         "net phase competitive with CM-5/CS-2\ndespite higher latency.\n";
 }
+
+}  // namespace spam::bench

@@ -1,19 +1,18 @@
 // Shared argv / parallel-sweep plumbing for the bench binaries.
 //
-// A scalar bench is one table function of bench/tables.hpp; bench/main.cpp
-// calls harness_init() for --jobs, then regenerate() on the table function
-// in production and prints its text.  The table function is the only list
-// of the bench's points; regenerate() calls it twice.  The record pass
+// A bench is one table function of bench/tables.hpp; bench/main.cpp calls
+// harness_init() for --jobs, then regenerate() on the table function in
+// production and prints its text.  The table function is the only list of
+// the bench's points; regenerate() calls it twice.  The record pass
 // computes nothing: each cached() miss (bench/micro.hpp) is recorded and
-// reads a placeholder, and the text is dropped.  The recorded points then
-// run across --jobs host threads on driver::SweepRunner, each in its own
-// shared-nothing sim::World, filling the process-wide driver::ResultCache.
-// The print pass runs the table function again; a cache miss there means
-// the passes read different points, and the bench exits 1.  The printed
-// bytes are identical for any --jobs setting (tests/golden/<bench>.txt
-// pins them) and in every mode cell (ModeEquivalence compares each
-// point).  Table 5 and Table 6, whose points are structs, have mains of
-// their own that run their own sweep.
+// reads a placeholder record, and the text is dropped.  The recorded
+// points then run across --jobs host threads on driver::SweepRunner, each
+// in its own shared-nothing sim::World, filling the process-wide
+// driver::ResultCache.  The print pass runs the table function again; a
+// cache miss there means the passes read different points, and the bench
+// exits 1.  The printed bytes are identical for any --jobs setting
+// (tests/golden/<bench>.txt pins them) and in every mode cell
+// (BenchModeEquivalence compares each point's record).
 #pragma once
 
 #include <cstddef>

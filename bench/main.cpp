@@ -1,4 +1,4 @@
-// The main of every scalar bench: prints the tables of the kBenches entry
+// The main of every bench: prints the tables of the kBenches entry
 // named SPAM_BENCH (its target's name) in production, through regenerate().
 #include <cstdio>
 #include <cstring>

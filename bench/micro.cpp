@@ -1,6 +1,7 @@
 #include "micro.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <unordered_set>
 #include <utility>
 
@@ -536,15 +537,19 @@ Hasher& mix(Hasher& h, const mpi::MpiWorldConfig& p) {
   return mix(h, p.f_cfg);
 }
 
-double cached(const Hasher& key, std::function<double()> compute) {
+Record cached(const Hasher& key, std::size_t width,
+              std::function<Record()> compute) {
+  assert(width <= Record::kMaxWidth);
   driver::ResultCache& cache = driver::ResultCache::instance();
   if (t_recording == nullptr) return cache.memoize(key.digest(), compute);
-  double v = 0;
-  if (cache.lookup(key.digest(), &v)) return v;
+  Record r;
+  if (cache.lookup(key.digest(), &r)) return r;
   if (t_recording->seen.insert(key.digest()).second) {
     t_recording->points.push_back({key.digest(), std::move(compute)});
   }
-  return kRecordPlaceholder;
+  r.width = width;  // the placeholder
+  std::fill_n(r.v.begin(), width, kRecordPlaceholder);
+  return r;
 }
 
 std::vector<RecordedPoint> record_points(const std::function<void()>& fn) {

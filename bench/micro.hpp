@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "am/net.hpp"
@@ -80,31 +81,41 @@ double am_store_bandwidth_mbps(std::size_t bytes, sphw::SpParams hw);
 
 // --- Memoization -------------------------------------------------------------
 
+using driver::Record;
+
 /// The one funnel every entry point above goes through: the ResultCache
-/// value under `key`, computed by `compute` on a miss.  A bench that
-/// measures something of its own keys it the same way (a Hasher named
-/// after the measurement, then every parameter), so its points join the
-/// same parallel phase.  Inside record_points() a miss computes nothing:
-/// it is recorded and reads kRecordPlaceholder.
-double cached(const driver::Hasher& key, std::function<double()> compute);
+/// record under `key`, `width` doubles wide, computed by `compute` on a
+/// miss.  A bench that measures something of its own keys it the same way
+/// (a Hasher named after the measurement, then every parameter), so its
+/// points join the same parallel phase.  Inside record_points() a miss
+/// computes nothing: it is recorded and reads a placeholder record,
+/// `width` copies of kRecordPlaceholder.
+Record cached(const driver::Hasher& key, std::size_t width,
+              std::function<Record()> compute);
+
+/// A scalar point: a record of width 1.
+inline double cached(const driver::Hasher& key,
+                     std::function<Record()> compute) {
+  return cached(key, 1, std::move(compute))[0];
+}
 
 /// Mixes every field of a parameter struct into a key (no padding bytes).
 driver::Hasher& mix(driver::Hasher& h, const sphw::SpParams& p);
 driver::Hasher& mix(driver::Hasher& h, const mpi::MpiWorldConfig& p);
 
-/// What a cached() miss reads during record_points().  Non-zero, so table
-/// code may divide by it.
+/// What each element of a record read during record_points() holds.
+/// Non-zero, so table code may divide by it.
 inline constexpr double kRecordPlaceholder = 1.0;
 
 /// One point met by a record pass: its cache key and its computation.
 struct RecordedPoint {
   std::uint64_t key;
-  std::function<double()> compute;
+  std::function<Record()> compute;
 };
 
 /// Runs `fn` as a record pass on the calling thread: each cached() miss is
 /// recorded instead of computed, once per key, in the order first met.
-/// Points already cached read their value and are not recorded.
+/// Points already cached read their record and are not recorded.
 std::vector<RecordedPoint> record_points(const std::function<void()>& fn);
 
 }  // namespace spam::bench

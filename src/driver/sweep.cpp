@@ -89,8 +89,8 @@ ResultCache& ResultCache::instance() {
   return cache;
 }
 
-double ResultCache::memoize(std::uint64_t key,
-                            const std::function<double()>& compute) {
+Record ResultCache::memoize(std::uint64_t key,
+                            const std::function<Record()>& compute) {
   {
     MutexLock lk(mu_);
     const auto it = map_.find(key);
@@ -100,12 +100,12 @@ double ResultCache::memoize(std::uint64_t key,
     }
     ++stats_.misses;
   }
-  const double v = compute();
+  const Record v = compute();
   MutexLock lk(mu_);
   return map_.emplace(key, v).first->second;  // first store wins
 }
 
-bool ResultCache::lookup(std::uint64_t key, double* out) const {
+bool ResultCache::lookup(std::uint64_t key, Record* out) const {
   MutexLock lk(mu_);
   const auto it = map_.find(key);
   if (it == map_.end()) return false;

@@ -27,9 +27,13 @@
 // observable exception, since all lower-indexed jobs had succeeded.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <type_traits>
 #include <unordered_map>
 #include <vector>
@@ -110,7 +114,28 @@ class Hasher {
   std::uint64_t h_ = 0xcbf29ce484222325ull;  // FNV offset basis
 };
 
-/// Process-wide, thread-safe memoization of scalar measurement points.
+/// A cached point's value: a short fixed-width record of doubles.  A
+/// scalar point is a record of width 1 (hence the implicit conversion); an
+/// app run records a few fields, an integer field by its bits
+/// (std::bit_cast).  The capacity is fixed, so a cache hit never allocates.
+struct Record {
+  static constexpr std::size_t kMaxWidth = 5;
+
+  Record() = default;
+  Record(double x) : Record({x}) {}
+  Record(std::initializer_list<double> xs) : width(xs.size()) {
+    assert(xs.size() <= kMaxWidth);
+    std::copy(xs.begin(), xs.end(), v.begin());
+  }
+
+  std::size_t size() const { return width; }
+  double operator[](std::size_t i) const { return v[i]; }
+
+  std::array<double, kMaxWidth> v{};
+  std::size_t width = 0;
+};
+
+/// Process-wide, thread-safe memoization of measurement points.
 /// Within one invocation a (bench id, params, size/mode) point is computed
 /// once; every later request — the report table, another curve sharing
 /// the point — is a lookup.  Values are deterministic simulation outputs,
@@ -123,10 +148,10 @@ class ResultCache {
   /// miss.  The lock is dropped during compute, so concurrent misses on
   /// *different* keys proceed in parallel; concurrent misses on the same
   /// key may compute twice and the first store wins (identical values).
-  double memoize(std::uint64_t key, const std::function<double()>& compute)
+  Record memoize(std::uint64_t key, const std::function<Record()>& compute)
       SPAM_EXCLUDES(mu_);
 
-  bool lookup(std::uint64_t key, double* out) const SPAM_EXCLUDES(mu_);
+  bool lookup(std::uint64_t key, Record* out) const SPAM_EXCLUDES(mu_);
 
   /// Forgets everything (perfbench's paper_sweep uses this to time cold
   /// sweeps).
@@ -140,7 +165,7 @@ class ResultCache {
 
  private:
   mutable Mutex mu_;
-  std::unordered_map<std::uint64_t, double> map_ SPAM_GUARDED_BY(mu_);
+  std::unordered_map<std::uint64_t, Record> map_ SPAM_GUARDED_BY(mu_);
   Stats stats_ SPAM_GUARDED_BY(mu_);
 };
 

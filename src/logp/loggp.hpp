@@ -4,10 +4,19 @@
 // Each endpoint sends typed messages with the classic parameters: sender
 // overhead o_s (charged to the sending fiber), one-way latency L, a
 // per-message gap g and per-byte gap G (bandwidth) serializing the sender's
-// network port, and receiver overhead o_r.  Receiver overhead accrues as a
-// debt that the receiving fiber pays at its next poll, so deposits never
-// require the target to be actively polling (keeps the model deadlock-free;
-// see DESIGN.md).
+// network port, and receiver overhead o_r.
+//
+// The deposit rule, which keeps the model deadlock-free: a remote-memory
+// operation takes effect on the target in an engine event, never in the
+// target's fiber.  put_bytes copies into the target's memory in its
+// arrival event; get_bytes sends its reply from the request's arrival
+// event, without the target polling.  The target's o_r accrues as a debt
+// that its fiber pays at its next poll.  So no put or get waits for the
+// target to reach a poll, and a target that computes or waits in a
+// barrier cannot stall it.  Typed messages (send()) differ: their
+// handlers run in the target's poll().  On SP AM the block owner must
+// poll before a get is served, so the two backends model remote reads
+// differently.
 //
 // Delivery is reliable and in order per sender — these machines' networks
 // were lossless from the messaging layer's point of view.

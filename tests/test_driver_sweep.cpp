@@ -2,17 +2,19 @@
 // adversarial job durations, highest-index-first scheduling, a long point
 // not holding back the rest, deterministic exception selection, memoize
 // semantics, key distinctness, the bench harness's record → parallel →
-// print entry, and the serial-vs-parallel determinism guarantee on a real
-// Figure-3 sub-sweep.  TSan-clean by design (the
-// `tsan` CMake preset runs everything labelled `driver` under
-// ThreadSanitizer).
+// print entry for scalar and record-valued points, and the
+// serial-vs-parallel determinism guarantee on a real Figure-3 sub-sweep.
+// TSan-clean by design (the `tsan` CMake preset runs everything labelled
+// `driver` under ThreadSanitizer).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -27,6 +29,7 @@
 namespace {
 
 using spam::driver::Hasher;
+using spam::driver::Record;
 using spam::driver::ResultCache;
 using spam::driver::SweepRunner;
 
@@ -145,16 +148,16 @@ TEST(ResultCache, ComputesOnceThenHits) {
     computes.fetch_add(1);
     return 6.25;
   };
-  EXPECT_EQ(cache.memoize(key, compute), 6.25);
-  EXPECT_EQ(cache.memoize(key, compute), 6.25);
+  EXPECT_EQ(cache.memoize(key, compute)[0], 6.25);
+  EXPECT_EQ(cache.memoize(key, compute)[0], 6.25);
   EXPECT_EQ(computes.load(), 1);
   const auto after = cache.stats();
   EXPECT_EQ(after.misses - before.misses, 1u);
   EXPECT_EQ(after.hits - before.hits, 1u);
 
-  double v = 0;
+  Record v;
   EXPECT_TRUE(cache.lookup(key, &v));
-  EXPECT_EQ(v, 6.25);
+  EXPECT_EQ(v[0], 6.25);
   cache.clear();
   EXPECT_FALSE(cache.lookup(key, &v));
 }
@@ -169,15 +172,15 @@ TEST(ResultCache, ConcurrentMissesOnSharedKeysAgree) {
     const int k = static_cast<int>(i % 8);
     const std::uint64_t key =
         Hasher("test_concurrent_miss").mix(k).digest();
-    const double v = cache.memoize(key, [&] { return k * 1.5; });
+    const double v = cache.memoize(key, [&] { return k * 1.5; })[0];
     if (v != k * 1.5) wrong[i].fetch_add(1);
   });
   for (const auto& w : wrong) EXPECT_EQ(w.load(), 0);
   for (int k = 0; k < 8; ++k) {
-    double v = 0;
+    Record v;
     ASSERT_TRUE(cache.lookup(
         Hasher("test_concurrent_miss").mix(k).digest(), &v));
-    EXPECT_EQ(v, k * 1.5);
+    EXPECT_EQ(v[0], k * 1.5);
   }
   cache.clear();
 }
@@ -246,6 +249,34 @@ TEST(BenchHarness, SecondPassReadOfUnrecordedPointIsAMiss) {
   EXPECT_EQ(computed_a.load(), 1);
   EXPECT_EQ(r.print_misses, 1u);
   EXPECT_EQ(r.text, std::to_string(7.0));
+  ResultCache::instance().clear();
+}
+
+TEST(BenchHarness, RecordValuedPointReadsPlaceholderThenExactRecord) {
+  // A width-3 point whose last element is an integer's bits (a NaN
+  // pattern, so only a bit comparison can tell it was kept exactly).
+  ResultCache::instance().clear();
+  static constexpr std::uint64_t kBits = 0x7ff8'0000'dead'beefull;
+  std::vector<Record> reads;
+  const auto r = spam::bench::regenerate(
+      [&] {
+        reads.push_back(spam::bench::cached(
+            Hasher("harness_test_record"), 3, [] {
+              return Record{0.25, -3.5, std::bit_cast<double>(kBits)};
+            }));
+        return std::string();
+      },
+      2);
+  ASSERT_EQ(reads.size(), 2u);
+  ASSERT_EQ(reads[0].size(), 3u);  // the record pass: placeholders
+  for (std::size_t e = 0; e < 3; ++e) {
+    EXPECT_EQ(reads[0][e], spam::bench::kRecordPlaceholder) << e;
+  }
+  ASSERT_EQ(reads[1].size(), 3u);  // the print pass: the computed record
+  EXPECT_EQ(reads[1][0], 0.25);
+  EXPECT_EQ(reads[1][1], -3.5);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(reads[1][2]), kBits);
+  EXPECT_EQ(r.print_misses, 0u);
   ResultCache::instance().clear();
 }
 

@@ -4,9 +4,9 @@
 // time, never what it computes: fused deliveries, merged wakes and elapse
 // skip-ahead instead of the per-hop reference event chain.  Production
 // runs with it on.  Every paper output runs in the other cell, with it
-// off, and must equal production bit for bit: each scalar bench's table
-// function (bench/tables.hpp) whole, point by point and as text, and the
-// Table 5/6 apps case by case, also warm — three repetitions in one world,
+// off, and must equal production bit for bit: each bench's table function
+// (bench/tables.hpp) whole, every element of every point's record and the
+// text, and the Table 5/6 apps warm — three repetitions in one world,
 // where the third must match and allocate nothing in either cell.
 //
 // The suite ends with two seeded fuzzers: a congestion fuzz that forces
@@ -34,6 +34,16 @@
 #include "tables.hpp"
 
 namespace spam {
+
+// gtest prints each case's parameter into its ctest name: print names, not
+// bytes or kBenches indices, so adding a bench renames no other case.
+namespace bench {
+void PrintTo(Cell c, std::ostream* os) {
+  *os << (c.fastpath ? "FastpathOn" : "FastpathOff");
+}
+void PrintTo(const BenchTables& b, std::ostream* os) { *os << b.name; }
+}  // namespace bench
+
 namespace {
 
 using bench::Cell;
@@ -47,85 +57,77 @@ mpi::MpiWorldConfig nas_cfg(Cell c) {
   return cfg;
 }
 
-splitc::SplitCConfig splitc_cfg(Cell c, splitc::Backend backend =
-                                            splitc::Backend::kSpAm) {
+splitc::SplitCConfig splitc_cfg(Cell c) {
   splitc::SplitCConfig cfg;
   cfg.nodes = 8;
-  cfg.backend = backend;
   cfg.hw = hw(c);
   return cfg;
 }
 
-/// A case's parameter.  gtest prints it into the ctest name ("2-byte
-/// object <00-01>"), so it keeps the layout it had when the node-local
-/// clock was a second switch: `clock_on` is true in every cell.
-struct CaseCell {
-  Cell cell;
-  bool clock_on = true;
-};
-
 /// The one non-production cell: the per-hop reference network.
-const auto kOtherCells = ::testing::Values(CaseCell{Cell{false}});
+const auto kOtherCells = ::testing::Values(Cell{false});
 
-std::string cell_name(CaseCell c) {
-  return std::string(c.cell.fastpath ? "FastpathOn" : "FastpathOff") +
-         "_LocalClockOn";
-}
+std::string cell_name(Cell c) { return ::testing::PrintToString(c); }
 
 /// A world that ignored its cell would compare production with itself.
 void expect_cell(const sim::Engine& engine, Cell c) {
   EXPECT_EQ(engine.fastpath(), c.fastpath);
 }
 
-class ModeEquivalence : public ::testing::TestWithParam<CaseCell> {
+class ModeEquivalence : public ::testing::TestWithParam<Cell> {
  protected:
   /// Runs `f` in this case's cell and in production; both must be equal.
   template <typename F>
   void expect_same_as_production(F&& f) {
-    EXPECT_EQ(f(GetParam().cell), f(kProduction));
+    EXPECT_EQ(f(GetParam()), f(kProduction));
   }
 };
 
 INSTANTIATE_TEST_SUITE_P(Cells, ModeEquivalence, kOtherCells,
-                         [](const ::testing::TestParamInfo<CaseCell>& info) {
+                         [](const ::testing::TestParamInfo<Cell>& info) {
                            return cell_name(info.param);
                          });
 
-// --- Every scalar bench, whole ----------------------------------------------
+// --- Every bench, whole -----------------------------------------------------
 
-// An index into kBenches: a pointer's bytes would end up in the ctest name.
 class BenchModeEquivalence
-    : public ::testing::TestWithParam<std::tuple<std::size_t, CaseCell>> {};
+    : public ::testing::TestWithParam<std::tuple<bench::BenchTables, Cell>> {
+};
 
 INSTANTIATE_TEST_SUITE_P(
     Benches, BenchModeEquivalence,
-    ::testing::Combine(::testing::Range<std::size_t>(
-                           0, std::size(bench::kBenches)),
-                       kOtherCells),
+    ::testing::Combine(::testing::ValuesIn(bench::kBenches), kOtherCells),
     [](const auto& info) {
-      std::string name = bench::kBenches[std::get<0>(info.param)].name;
+      std::string name = std::get<0>(info.param).name;
       return name.append("_").append(cell_name(std::get<1>(info.param)));
     });
 
+// Both cells' points run in one parallel phase, as regenerate() runs a
+// bench's, so the full-size Table 5 and Table 6 cases stay affordable.
 TEST_P(BenchModeEquivalence, EveryPointAndText) {
-  const auto [index, param] = GetParam();
-  const Cell cell = param.cell;
-  const bench::BenchTables& b = bench::kBenches[index];
+  const auto [b, cell] = GetParam();
   driver::ResultCache& cache = driver::ResultCache::instance();
   cache.clear();  // both record passes must see every point as a miss
   const auto points = bench::record_points([&] { b.tables(cell); });
   const auto prod = bench::record_points([&] { b.tables(kProduction); });
   ASSERT_EQ(points.size(), prod.size());
   ASSERT_FALSE(points.empty());
-  for (std::size_t i = 0; i < points.size(); ++i) {
+  const std::size_t n = points.size();
+  std::vector<driver::Record> got(n), want(n);
+  driver::SweepRunner().run_indexed(2 * n, [&](std::size_t j) {
+    const bench::RecordedPoint& p = j < n ? points[j] : prod[j - n];
+    (j < n ? got[j] : want[j - n]) = cache.memoize(p.key, p.compute);
+  });
+  for (std::size_t i = 0; i < n; ++i) {
     // A point the cell did not reach would compare production with itself.
     EXPECT_NE(points[i].key, prod[i].key) << "point " << i;
-    const double v = cache.memoize(points[i].key, points[i].compute);
-    const double want = cache.memoize(prod[i].key, prod[i].compute);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(v),
-              std::bit_cast<std::uint64_t>(want))
-        << "point " << i << ": " << std::setprecision(17) << v << " vs "
-        << want;
+    ASSERT_EQ(got[i].size(), want[i].size()) << "point " << i;
+    for (std::size_t e = 0; e < got[i].size(); ++e) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i][e]),
+                std::bit_cast<std::uint64_t>(want[i][e]))
+          << "point " << i << " element " << e << ": "
+          << std::setprecision(17) << got[i][e] << " vs " << want[i][e];
+    }
   }
   const std::uint64_t misses = cache.stats().misses;
   EXPECT_EQ(b.tables(cell), b.tables(kProduction));
@@ -142,93 +144,11 @@ TEST_P(ModeEquivalence, Table3And4RoundTrips) {
   });
 }
 
-// --- Table 5: Split-C applications (SP AM and LogGP backends) ---------------
-
-/// Everything an app run reports; all of it must match bit for bit.
-using PhaseKey = std::tuple<bool, std::uint64_t, double, double, double>;
-
-PhaseKey phase_key(const apps::PhaseTimes& pt) {
-  EXPECT_TRUE(pt.valid);
-  return {pt.valid, pt.checksum, pt.total_s, pt.comm_s, pt.cpu_s};
-}
-
-TEST_P(ModeEquivalence, Table5SplitCApps) {
-  expect_same_as_production([](Cell c) {
-    std::vector<PhaseKey> runs;
-    {
-      splitc::SplitCWorld w(splitc_cfg(c));
-      expect_cell(w.world().engine(), c);
-      runs.push_back(phase_key(apps::run_matmul(w, /*nb=*/4, /*bd=*/16)));
-    }
-    for (auto variant :
-         {apps::SortVariant::kSmallMessage, apps::SortVariant::kBulk}) {
-      {
-        splitc::SplitCWorld w(splitc_cfg(c));
-        expect_cell(w.world().engine(), c);
-        runs.push_back(phase_key(apps::run_sample_sort(w, 4096, variant)));
-      }
-      splitc::SplitCWorld w(splitc_cfg(c));
-      expect_cell(w.world().engine(), c);
-      runs.push_back(phase_key(apps::run_radix_sort(w, 2048, variant)));
-    }
-    return runs;
-  });
-}
-
-// The LogGP backend is the one transport whose endpoint state advances via
-// engine events (arrival deliveries) rather than the node's own handlers,
-// so it exercises the poll-side settle points hardest.
-TEST_P(ModeEquivalence, Table5LogGpBackend) {
-  expect_same_as_production([](Cell c) {
-    std::vector<PhaseKey> runs;
-    {
-      splitc::SplitCWorld w(splitc_cfg(c, splitc::Backend::kLogGp));
-      expect_cell(w.world().engine(), c);
-      runs.push_back(phase_key(apps::run_matmul(w, /*nb=*/4, /*bd=*/16)));
-    }
-    splitc::SplitCWorld w(splitc_cfg(c, splitc::Backend::kLogGp));
-    expect_cell(w.world().engine(), c);
-    runs.push_back(phase_key(
-        apps::run_sample_sort(w, 4096, apps::SortVariant::kSmallMessage)));
-    return runs;
-  });
-}
-
-// --- Table 6: NAS kernels ----------------------------------------------------
-
-using NasRunner = apps::NasResult (*)(mpi::MpiWorld&, int, int);
-
-struct NasKernel {
-  const char* name;
-  NasRunner run;
-  int n;
-};
-
-constexpr NasKernel kNasKernels[] = {
-    {"FT", apps::run_ft, 16}, {"MG", apps::run_mg, 16},
-    {"LU", apps::run_lu, 64}, {"BT", apps::run_bt, 16},
-    {"SP", apps::run_sp, 16},
-};
-
-TEST_P(ModeEquivalence, Table6NasKernels) {
-  expect_same_as_production([](Cell c) {
-    std::vector<std::tuple<bool, double, double>> runs;
-    for (const NasKernel& k : kNasKernels) {
-      mpi::MpiWorld w(nas_cfg(c));
-      expect_cell(w.world().engine(), c);
-      const apps::NasResult r = k.run(w, k.n, /*iters=*/1);
-      EXPECT_TRUE(r.finished) << k.name;
-      runs.emplace_back(r.finished, r.checksum, r.time_s);
-    }
-    return runs;
-  });
-}
-
 // --- Warm worlds: the third repetition of Table 5 and Table 6 ---------------
 //
-// The cases above build a fresh world per run.  These run each app three
-// times in one world, so the third repetition starts from warm pools and
-// fibers and a nonzero clock.  That repetition must give bit-identical
+// The bench cases above build a fresh world per run.  These run each app
+// three times in one world, so the third repetition starts from warm pools
+// and fibers and a nonzero clock.  That repetition must give bit-identical
 // virtual time and checksum in every cell, and must grow no pool
 // (AllocCounters delta 0).  Two warm-ups, not one: the second rep's event
 // pattern differs slightly from the first (virtual time no longer starts
@@ -308,6 +228,18 @@ TEST_P(ModeEquivalence, WarmTable5SplitCThirdRep) {
     });
   }
 }
+
+struct NasKernel {
+  const char* name;
+  apps::NasResult (*run)(mpi::MpiWorld&, int, int);
+  int n;
+};
+
+constexpr NasKernel kNasKernels[] = {
+    {"FT", apps::run_ft, 16}, {"MG", apps::run_mg, 16},
+    {"LU", apps::run_lu, 64}, {"BT", apps::run_bt, 16},
+    {"SP", apps::run_sp, 16},
+};
 
 TEST_P(ModeEquivalence, WarmTable6NasThirdRep) {
   for (const NasKernel& k : kNasKernels) {
