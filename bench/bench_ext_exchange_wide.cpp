@@ -21,19 +21,31 @@ double exchange_bandwidth_mbps_raw(std::size_t piece, sphw::SpParams hw) {
   std::vector<std::byte> src(piece, std::byte{0x11});
   std::vector<std::byte> d0(piece, std::byte{0});
   std::vector<std::byte> d1(piece, std::byte{0});
+  // Node r's own acks bump done[r]; its own bulk handler bumps landed[r]
+  // as each of the peer's pieces lands.  Each node waits on its own counts
+  // only (the poll_until contract), so a node's finish is the later of its
+  // last ack and its last landing, as the per-poll reference sees them.
   std::size_t done[2] = {0, 0};
+  std::size_t landed[2] = {0, 0};
   sim::Time finish[2] = {0, 0};
+  int h_landed[2];
+  for (int r = 0; r < 2; ++r) {
+    h_landed[r] = net.ep(r).register_bulk_handler(
+        [&, r](am::Endpoint&, am::Token, void*, std::size_t, am::Word) {
+          ++landed[r];
+        });
+  }
 
   for (int r = 0; r < 2; ++r) {
     world.spawn(r, [&, r](sim::NodeCtx& ctx) {
       auto& ep = net.ep(r);
       auto* dst = r == 0 ? d1.data() : d0.data();
       for (std::size_t i = 0; i < count; ++i) {
-        ep.store_async(1 - r, dst, src.data(), piece, 0, 0,
+        ep.store_async(1 - r, dst, src.data(), piece, h_landed[1 - r], 0,
                        [&, r] { ++done[r]; });
       }
       ep.poll_until(
-          [&] { return done[0] == count && done[1] == count; });
+          [&] { return done[r] == count && landed[r] == count; });
       finish[r] = ctx.now();
     });
   }

@@ -133,14 +133,14 @@ SPAM_HOT void Endpoint::enqueue_sequenced_packet(sphw::Packet pkt, TxChan& tx,
   stamp_acks(pkt.dst, pkt);
   if (save) {
     if (pkt.chunk_idx == 0) {
-      // spam-lint: capacity-ok (retransmit ring is bounded by the
-      // flow-control window; entries recycle in steady state)
+      // spam-lint: capacity-ok (bounded by the flow-control window; the
+      // deque still allocates and frees blocks as chunks are saved and acked)
       tx.retrans.push_back({pkt.seq, {}});
       ++unacked_chunks_;
     }
     assert(!tx.retrans.empty() && tx.retrans.back().seq == pkt.seq);
-    // spam-lint: capacity-ok (packet copy shares the pooled payload via
-    // PayloadRef; the vector is bounded by the chunk length)
+    // spam-lint: capacity-ok (bounded by the chunk length and the payload
+    // is shared, but each new SavedChunk's vector allocates afresh)
     tx.retrans.back().packets.push_back(pkt);
   }
   ++tx.packets_in_flight;
@@ -334,7 +334,7 @@ void Endpoint::get_blocking(int dst, const void* src_addr, void* dst_addr,
 
 void Endpoint::queue_op(TxChan& tx, BulkOp op) {
   // spam-lint: capacity-ok — deque bounded by the outstanding-op window;
-  // block allocation amortizes out after the first ramp
+  // not allocation-free: it allocates and frees a block as ops pass through
   tx.ops.push_back(std::move(op));
   ++queued_ops_;
 }
@@ -429,7 +429,7 @@ bool Endpoint::try_send_next_chunk(int dst, std::uint8_t channel,
   op.packets_emitted = true;
   if (op_ends) {
     // spam-lint: capacity-ok — drained by poll() each pass; bounded by ops
-    // in flight, steady-state capacity sticks after the first ramp
+    // in flight; not allocation-free: the deque allocates and frees blocks
     tx.completions.push_back({seq + 1, std::move(op.complete)});
     tx.ops.pop_front();
     --queued_ops_;

@@ -117,11 +117,16 @@ class Endpoint {
   /// virtual time (see merge_empty_polls), so per-poll wake events
   /// disappear while every observable instant stays bit-identical.
   ///
-  /// The known breach is a cross-node counter: a predicate on a variable
+  /// The breach to avoid is a cross-node counter: a predicate on a variable
   /// another node's handler bumps.  No poll here changes it, so a merged
   /// wait can end later than the per-hop reference's (a multi-chunk
   /// am_store timed that way read 152.3 us, 148.8 us with the fast path
-  /// off).  Wait for a reply on this endpoint instead.
+  /// off).  Wait for a reply, or a bulk handler, on this endpoint instead.
+  /// On two nodes the merge also spans waits with nothing inbound yet
+  /// (Tb2Adapter::host_rx_ready_time), so any cross-node wait can shift.
+  /// Known breaches left are termination waits whose end no printed value
+  /// reads, in bench/micro.cpp's AM round-trip, request/reply-cost and
+  /// bandwidth loops and in perfbench's am_micro.
   template <typename Pred>
   void poll_until(Pred&& done) {
     while (!done()) {

@@ -33,7 +33,7 @@ int MplEndpoint::mpc_send(const void* buf, std::size_t len, int dst,
   op.tag = tag;
   op.data = sphw::PayloadPool::instance().copy_from(buf, len);
   // spam-lint: capacity-ok — per-message op queue, bounded by the app's
-  // posting rate; steady-state capacity sticks after the first ramp
+  // posting rate; not allocation-free: the deque allocates and frees blocks
   send_q_.push_back(std::move(op));
   ++stats_.msgs_sent;
   stats_.bytes_sent += len;

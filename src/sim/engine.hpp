@@ -83,6 +83,16 @@ class Engine {
   bool empty() const { return pending() == 0; }
   std::size_t pending() const { return count_; }
 
+  /// The earliest instant at which anything but the running code can act:
+  /// the earliest pending event's time, or the instant control returns to
+  /// the run()/run_until() caller if that comes first (the run's deadline,
+  /// or now() once stopped).  Requires !empty().  Read-only.
+  Time next_event_bound() const {
+    if (stopped_) return now_;
+    const Time t = ring_[head_].t;
+    return t < run_deadline_ ? t : run_deadline_;
+  }
+
   /// Enables/disables every proven-equivalent shortcut that hangs off the
   /// engine (elapse skip-ahead here; the network fast path reads the same
   /// flag through sphw::SpParams).  On by default; ModeEquivalence

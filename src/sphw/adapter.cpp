@@ -77,8 +77,8 @@ SPAM_HOT void Tb2Adapter::host_enqueue(sim::NodeCtx& ctx, Packet pkt,
   ctx.charge(ceil_us(entry_bytes * params_.host_write_us_per_byte +
                               lines * params_.flush_line_us));
   ++send_fifo_used_;
-  // spam-lint: capacity-ok (bounded by the send-FIFO depth; the deque
-  // keeps its chunks across the steady-state fill/drain cycle)
+  // spam-lint: capacity-ok (bounded by the send-FIFO depth; a deque still
+  // allocates a block on entering one and frees it on leaving it)
   awaiting_doorbell_.push_back(std::move(pkt));
   if (doorbell_npackets > 0) host_doorbell(ctx, doorbell_npackets);
 }
@@ -171,8 +171,8 @@ SPAM_HOT bool Tb2Adapter::try_engage_fused(Packet& pkt, sim::Time t_link,
                  sim::transfer_time(bytes, params_.mc_dma_mbps);
 
   const std::uint64_t serial = next_fused_serial_++;
-  // spam-lint: capacity-ok (bounded by in-flight packets; the deque keeps
-  // its chunks across the steady-state engage/complete cycle)
+  // spam-lint: capacity-ok (bounded by in-flight packets; the deque still
+  // allocates and frees a block as engage/complete walks through it)
   fused_.push_back(FusedReservation{serial, t_link, t_hop, pre_i860, pre_dma,
                                     rx_dma_free_, std::move(pkt)});
   auto fused = [this, serial] { fused_arrival(serial); };
@@ -281,7 +281,19 @@ SPAM_HOT sim::Time Tb2Adapter::host_rx_ready_time() const {
   // Any per-hop traffic (in flight to the switch, or between its hop and
   // arrive events) could land before the fused front: no prediction.
   if (pending_slow_ > 0 || slow_arrivals_pending_ > 0) return 0;
-  if (fused_.empty()) return 0;  // nothing inbound is known at all
+  if (fused_.empty()) {
+    // Nothing inbound is submitted yet.  With two adapters the only sender
+    // is the peer, and while this node runs the peer is parked: it submits
+    // nothing before the next pending event, and its packet lands no
+    // sooner than the least submit-to-arrival latency after that.  An
+    // empty queue means nothing can ever wake it: no bound worth merging
+    // toward.  With more adapters the bound would hold too, but a merged
+    // wait can reorder a same-tick tie between other nodes' fibers, which
+    // is not shown to be inert there (docs/network-fastpath.md), so those
+    // fabrics keep no prediction.
+    if (fabric_.size() > 2 || engine_.empty()) return 0;
+    return engine_.next_event_bound() + min_latency_;
+  }
   // Ledger arrivals are ordered (rx_dma_free_ is monotonic), a rollback
   // re-delivers at the bit-identical per-hop instant, a conflicting
   // later per-hop delivery inherits clocks >= the front's arrival, and a

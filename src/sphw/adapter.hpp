@@ -113,9 +113,13 @@ class Tb2Adapter {
   /// is provable.  Valid only when every inbound packet is fused (ledger
   /// arrivals are ordered, and any mid-flight rollback re-delivers at the
   /// bit-identical per-hop instant, never earlier); per-hop packets in
-  /// flight or pending arrive events forfeit the hint.  On fabrics of three
-  /// or more adapters it is capped at now plus the least submit-to-arrival
-  /// latency, since a third node's later packet can overtake the ledger.
+  /// flight or pending arrive events forfeit the hint.  With the ledger
+  /// empty on a fabric of two adapters, the bound is the engine's next
+  /// event bound plus the least submit-to-arrival latency: the parked peer
+  /// can submit nothing sooner (0 if the queue is empty).  On fabrics of
+  /// three or more adapters an empty ledger gives 0, and a ledger front is
+  /// capped at now plus the least submit-to-arrival latency, since a third
+  /// node's later packet can overtake it.
   sim::Time host_rx_ready_time() const;
 
   /// Copies the front packet out of the receive FIFO (charges the copy) and

@@ -2,6 +2,7 @@
 // calibration bands, window behaviour for small messages.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "am/net.hpp"
@@ -74,6 +75,48 @@ TEST(AmBasic, PingPongRoundTripLatencyMatchesPaper) {
 
   EXPECT_GT(sim::to_usec(rtt), 40.0);
   EXPECT_LT(sim::to_usec(rtt), 62.0);
+}
+
+// A fixed two-node one-word ping-pong, each node waiting only on its own
+// endpoint.  With nothing inbound, a wait sleeps until the parked peer can
+// next deliver (Tb2Adapter::host_rx_ready_time), so each round trip costs
+// a handful of events instead of one per empty poll.  The count is exact:
+// any change to the merge, the hint or the engine shows here first.
+TEST(AmBasic, TwoNodePingPongEventCountIsExact) {
+  auto run = [](bool fastpath) {
+    Fixture f(2);
+    f.world.engine().set_fastpath(fastpath);
+    Endpoint& e0 = f.net.ep(0);
+    Endpoint& e1 = f.net.ep(1);
+    constexpr int kIters = 16;
+    int pongs = 0;
+    int served = 0;
+    const int h_pong = e0.register_handler(
+        [&](Endpoint&, Token, const Word*, int) { ++pongs; });
+    const int h_ping = e1.register_handler(
+        [&](Endpoint& ep, Token t, const Word* a, int) {
+          ++served;
+          ep.reply_1(t, h_pong, a[0]);
+        });
+    sim::Time end = 0;
+    f.world.spawn(0, [&](sim::NodeCtx& ctx) {
+      for (int i = 0; i < kIters; ++i) {
+        e0.request_1(1, h_ping, static_cast<Word>(i));
+        e0.poll_until([&] { return pongs > i; });
+      }
+      end = ctx.now();
+    });
+    f.world.spawn(1, [&](sim::NodeCtx&) {
+      e1.poll_until([&] { return served >= kIters; });
+    });
+    f.world.run();
+    return std::make_pair(end, f.world.engine().events_executed());
+  };
+  const auto [end, events] = run(true);
+  const auto [end_off, events_off] = run(false);
+  EXPECT_EQ(end, end_off);
+  EXPECT_EQ(events, 149u);
+  EXPECT_EQ(events_off, 1303u);
 }
 
 TEST(AmBasic, ManyRequestsAllDelivered) {

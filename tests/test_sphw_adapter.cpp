@@ -5,6 +5,7 @@
 #include <tuple>
 #include <vector>
 
+#include "sim/rng.hpp"
 #include "sphw/machine.hpp"
 
 namespace spam::sphw {
@@ -378,15 +379,15 @@ TEST(Fastpath, RxReadyTimeIsAnExactLowerBound) {
   sim::World w(2);
   SpMachine m(w, SpParams::thin_node());
   bool checked = false;
+  bool submitted = false;
 
   w.spawn(0, [&](sim::NodeCtx& ctx) {
     m.adapter(0).host_enqueue(ctx, mk(1, 224, 1));
+    submitted = true;
   });
   w.spawn(1, [&](sim::NodeCtx& ctx) {
     // Wait until the reservation exists, then interrogate the hint.
-    ctx.poll_until([&] { return m.adapter(1).host_rx_ready_time() != 0 ||
-                                m.adapter(1).host_rx_ready(); },
-                   sim::usec(0.5));
+    ctx.poll_until([&] { return submitted; }, sim::usec(0.5));
     const sim::Time ready = m.adapter(1).host_rx_ready_time();
     if (ready != 0) {
       EXPECT_FALSE(m.adapter(1).host_rx_ready());
@@ -403,6 +404,71 @@ TEST(Fastpath, RxReadyTimeIsAnExactLowerBound) {
   });
   w.run();
   EXPECT_TRUE(checked);
+}
+
+// Seeded random traffic both ways on two nodes.  Node 1 reads its hint at
+// random instants; whenever it is non-zero, node 1 sleeps to one tick
+// before it and the rx FIFO must still be empty there, whether a packet
+// is already in the ledger or not yet submitted.  While the parked peer
+// has nothing in flight toward node 1, the hint must be non-zero: that is
+// the bound that lets a two-node wait sleep in one wake.
+TEST(Fastpath, RxReadyTimeIsSoundUnderRandomTraffic) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    sim::World w(2);
+    SpMachine m(w, SpParams::thin_node());
+    constexpr int kSends = 60;
+    int sent[2] = {0, 0};
+    int hints = 0;
+    int parked_reads = 0;
+    int parked_unbounded = 0;
+
+    for (int r = 0; r < 2; ++r) {
+      w.spawn(r, [&, r, seed](sim::NodeCtx& ctx) {
+        sim::Rng rng(seed * 2 + static_cast<std::uint64_t>(r));
+        Tb2Adapter& ad = m.adapter(r);
+        Tb2Adapter& peer = m.adapter(1 - r);
+        // Node 1 keeps reading its hint until node 0 is done sending.
+        while (sent[r] < kSends || (r == 1 && sent[0] < kSends)) {
+          while (ad.host_rx_ready()) ad.host_rx_take(ctx);
+          if (r == 1) {
+            const sim::Time hint = ad.host_rx_ready_time();
+            const bool inbound = peer.stats().tx_packets !=
+                                 ad.stats().rx_packets +
+                                     ad.stats().rx_dropped_fifo_full;
+            if (!inbound && !ctx.engine().empty()) {
+              ++parked_reads;
+              if (hint == 0) ++parked_unbounded;
+            }
+            if (hint != 0 && rng.chance(0.5)) {
+              ++hints;
+              ASSERT_GT(hint, ctx.now());
+              ctx.elapse(hint - 1 - ctx.now());
+              EXPECT_FALSE(ad.host_rx_ready())
+                  << "rx ready one tick before the hint";
+              continue;
+            }
+          }
+          if (sent[r] < kSends && rng.chance(0.3) && ad.host_send_space()) {
+            const auto bytes =
+                static_cast<std::uint32_t>(4 + rng.next_below(221));
+            ad.host_enqueue(ctx, mk(1 - r, bytes, static_cast<std::uint32_t>(
+                                                      sent[r]++)));
+          } else {
+            ctx.elapse(static_cast<sim::Time>(1 + rng.next_below(
+                                                      sim::usec(12))));
+          }
+        }
+      });
+    }
+    w.run();
+
+    EXPECT_EQ(sent[0], kSends);
+    EXPECT_EQ(sent[1], kSends);
+    EXPECT_GT(hints, 10);
+    EXPECT_GT(parked_reads, 10);
+    EXPECT_EQ(parked_unbounded, 0) << "peer parked, nothing inbound";
+  }
 }
 
 // With a third adapter, a packet another node submits *after* the hint is
