@@ -36,10 +36,12 @@ static double am_rtt_us_raw(int words, sphw::SpParams hw, am::AmParams amp) {
   am::Endpoint& e0 = f.net.ep(0);
   am::Endpoint& e1 = f.net.ep(1);
   int pongs = 0;
+  int served = 0;
   const int h_pong = e0.register_handler(
       [&](am::Endpoint&, am::Token, const am::Word*, int) { ++pongs; });
   const int h_ping = e1.register_handler(
       [&, h_pong](am::Endpoint& ep, am::Token t, const am::Word* a, int n) {
+        ++served;
         ep.reply(t, h_pong, a, n);
       });
 
@@ -61,7 +63,7 @@ static double am_rtt_us_raw(int words, sphw::SpParams hw, am::AmParams amp) {
     total = ctx.now() - t0;
   });
   f.world.spawn(1, [&](sim::NodeCtx&) {
-    e1.poll_until([&] { return pongs >= kWarm + kIters; });
+    e1.poll_until([&] { return served >= kWarm + kIters; });
   });
   f.world.run();
   return sim::to_usec(total) / kIters;
@@ -125,7 +127,6 @@ static double am_request_cost_us_raw(int words, sphw::SpParams hw) {
     const sim::Time t0 = ctx.now();
     e0.request(1, h_serve, kArgs, clamp_words(words));
     req_cost = ctx.now() - t0;
-    e0.poll_until([&] { return served >= 1; });
   });
   f.world.spawn(1, [&](sim::NodeCtx&) {
     e1.poll_until([&] { return served >= 1; });
@@ -140,11 +141,13 @@ static double am_reply_cost_us_raw(int words, sphw::SpParams hw) {
   am::Endpoint& e0 = f.net.ep(0);
   am::Endpoint& e1 = f.net.ep(1);
   bool ponged = false;
+  bool served = false;
   const int h_pong = e0.register_handler(
       [&](am::Endpoint&, am::Token, const am::Word*, int) { ponged = true; });
   sim::Time reply_cost = 0;
   const int h_serve = e1.register_handler(
       [&, h_pong](am::Endpoint& ep, am::Token t, const am::Word* a, int n) {
+        served = true;
         const sim::Time t0 = ep.ctx().now();
         ep.reply(t, h_pong, a, n);
         reply_cost = ep.ctx().now() - t0;
@@ -155,7 +158,7 @@ static double am_reply_cost_us_raw(int words, sphw::SpParams hw) {
     e0.poll_until([&] { return ponged; });
   });
   f.world.spawn(1, [&](sim::NodeCtx&) {
-    e1.poll_until([&] { return ponged; });
+    e1.poll_until([&] { return served; });
   });
   f.world.run();
   return sim::to_usec(reply_cost);
@@ -207,6 +210,8 @@ static double am_bandwidth_mbps_raw(AmBwMode mode, std::size_t bytes,
 
   sim::Time elapsed = 0;
   bool done = false;
+  const int h_done = e1.register_handler(
+      [&](am::Endpoint&, am::Token, const am::Word*, int) { done = true; });
   f.world.spawn(0, [&](sim::NodeCtx& ctx) {
     const sim::Time t0 = ctx.now();
     switch (mode) {
@@ -242,7 +247,9 @@ static double am_bandwidth_mbps_raw(AmBwMode mode, std::size_t bytes,
       }
     }
     elapsed = ctx.now() - t0;
-    done = true;
+    // Node 1 ends on its own handler, not on node 0's state (the
+    // poll_until contract).
+    e0.request_1(1, h_done, 0);
   });
   f.world.spawn(1, [&](sim::NodeCtx&) {
     e1.poll_until([&] { return done; });
@@ -499,14 +506,12 @@ Hasher& mix(Hasher& h, const mpl::MplParams& p) {
 }
 
 Hasher& mix(Hasher& h, const mpi::MpiAmConfig& p) {
-  return h.mix(p.optimized)
-      .mix(p.peer_buffer_bytes)
+  return h.mix(p.peer_buffer_bytes)
       .mix(p.eager_max)
       .mix(p.hybrid)
       .mix(p.hybrid_prefix)
       .mix(p.binned_allocator)
       .mix(p.batch_frees)
-      .mix(p.free_batch)
       .mix(p.sw_send_us)
       .mix(p.sw_recv_us)
       .mix(p.copy_us_per_byte)

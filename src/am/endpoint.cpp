@@ -55,14 +55,9 @@ SPAM_HOT void Endpoint::stamp_acks(int dst, sphw::Packet& pkt) {
 
 void Endpoint::wait_for_window(int dst, std::uint8_t channel,
                                int packets_needed) {
-  TxChan& tx = peer(dst).tx[channel];
+  const TxChan& tx = peer(dst).tx[channel];
   const int window = window_for(channel);
-  // The window only opens on packet receipt, so the empty-poll merge is
-  // exact here: nothing this loop waits for can happen mid-merge.
-  while (tx.packets_in_flight + packets_needed > window) {
-    merge_empty_polls();
-    poll();
-  }
+  poll_until([&] { return tx.packets_in_flight + packets_needed <= window; });
 }
 
 SPAM_HOT void Endpoint::merge_empty_polls() {
@@ -108,7 +103,7 @@ bool Endpoint::bulk_progress_frozen() const {
       // Window-blocked chunks stay blocked until a packet arrives; the
       // send-FIFO gate can open with time alone, so a chunk blocked only
       // by FIFO space defeats the merge.
-      if (tx.packets_in_flight + planned_chunk_packets(tx.ops.front(), window) <=
+      if (tx.packets_in_flight + plan_chunk(tx.ops.front(), window).packets <=
           window) {
         return false;
       }
@@ -122,10 +117,7 @@ bool Endpoint::have_unacked_retrans() const { return unacked_chunks_ > 0; }
 void Endpoint::wait_for_fifo_space() {
   // The adapter drains the send FIFO autonomously (DMA), so plain waiting
   // is enough and safe to use even while nested inside poll().
-  while (!adapter_.host_send_space()) {
-    // spam-lint: charge-ok — one poll quantum per probe of the FIFO
-    ctx_.elapse(sim::usec(0.5));
-  }
+  ctx_.poll_until([&] { return adapter_.host_send_space(); }, sim::usec(0.5));
 }
 
 SPAM_HOT void Endpoint::enqueue_sequenced_packet(sphw::Packet pkt, TxChan& tx,
@@ -159,12 +151,8 @@ SPAM_HOT void Endpoint::send_small(int dst, std::uint8_t channel, int handler,
   TxChan& tx = peer(dst).tx[channel];
 
   // Preserve per-channel ordering: small messages may not overtake queued
-  // bulk operations headed to the same peer.  Ops drain only as packet
-  // receipts open the window, so the empty-poll merge is exact.
-  while (!tx.ops.empty()) {
-    merge_empty_polls();
-    poll();
-  }
+  // bulk operations headed to the same peer.
+  poll_until([&] { return tx.ops.empty(); });
 
   ctx_.elapse(sim::usec((is_request ? params_.request_cpu_us
                                     : params_.reply_cpu_us) +
@@ -243,12 +231,13 @@ void Endpoint::send_nack(int src, std::uint8_t channel) {
 // Bulk operations
 // --------------------------------------------------------------------------
 
-void Endpoint::store_async(int dst, void* dst_addr, const void* src,
-                           std::size_t len, int handler, Word arg,
-                           CompletionFn complete) {
+std::uint64_t Endpoint::queue_store(int dst, void* dst_addr, const void* src,
+                                   std::size_t len, int handler, Word arg,
+                                   CompletionFn complete) {
   ctx_.elapse(sim::usec(params_.bulk_setup_us));
   BulkOp op;
   op.id = next_op_id_++;
+  const std::uint64_t id = op.id;
   op.dst = dst;
   op.channel = kChanRequest;
   op.data = sphw::PayloadPool::instance().copy_from(src, len);
@@ -259,6 +248,13 @@ void Endpoint::store_async(int dst, void* dst_addr, const void* src,
   ++outstanding_ops_;
   queue_op(peer(dst).tx[kChanRequest], std::move(op));
   progress_bulk();
+  return id;
+}
+
+void Endpoint::store_async(int dst, void* dst_addr, const void* src,
+                           std::size_t len, int handler, Word arg,
+                           CompletionFn complete) {
+  queue_store(dst, dst_addr, src, len, handler, arg, std::move(complete));
 }
 
 void Endpoint::store(int dst, void* dst_addr, const void* src,
@@ -266,33 +262,12 @@ void Endpoint::store(int dst, void* dst_addr, const void* src,
   // Blocking semantics per GAM: returns once the source region is reusable,
   // i.e. all packets have been placed in the send FIFO.  The window makes a
   // back-to-back sequence of stores wait for the previous transfer's acks.
-  ctx_.elapse(sim::usec(params_.bulk_setup_us));
-  BulkOp op;
-  op.id = next_op_id_++;
-  const std::uint64_t my_id = op.id;
-  op.dst = dst;
-  op.channel = kChanRequest;
-  op.data = sphw::PayloadPool::instance().copy_from(src, len);
-  op.remote_base = reinterpret_cast<std::uint64_t>(dst_addr);
-  op.handler = handler;
-  op.arg = arg;
-  op.complete = {};
-  ++outstanding_ops_;
-  TxChan& tx = peer(dst).tx[kChanRequest];
-  queue_op(tx, std::move(op));
-  // Drive our op to full enqueue: it leaves the queue exactly then.
-  while (true) {
-    progress_bulk();
-    bool still_queued = false;
-    for (const BulkOp& o : tx.ops) {
-      if (o.id == my_id) {
-        still_queued = true;
-        break;
-      }
-    }
-    if (!still_queued) break;
-    poll();
-  }
+  const std::uint64_t id =
+      queue_store(dst, dst_addr, src, len, handler, arg, {});
+  // Our op leaves the queue exactly at its full enqueue; ops leave in
+  // order and ids grow, so the front says whether it is still queued.
+  const TxChan& tx = peer(dst).tx[kChanRequest];
+  poll_until([&] { return tx.ops.empty() || tx.ops.front().id > id; });
 }
 
 void Endpoint::get(int dst, const void* src_addr, void* dst_addr,
@@ -303,7 +278,7 @@ void Endpoint::get(int dst, const void* src_addr, void* dst_addr,
   if (complete) get_completions_.emplace(cookie, std::move(complete));
 
   TxChan& tx = peer(dst).tx[kChanRequest];
-  while (!tx.ops.empty()) poll();
+  poll_until([&] { return tx.ops.empty(); });
   wait_for_window(dst, kChanRequest, 1);
 
   sphw::Packet pkt;
@@ -358,15 +333,15 @@ void Endpoint::progress_bulk() {
   }
 }
 
-int Endpoint::planned_chunk_packets(const BulkOp& op, int window) const {
+Endpoint::ChunkPlan Endpoint::plan_chunk(const BulkOp& op, int window) const {
   const int data_bytes = adapter_.params().packet_data_bytes;
   const std::size_t max_chunk =
       static_cast<std::size_t>(std::min(params_.chunk_packets, window)) *
       static_cast<std::size_t>(data_bytes);
-  const std::size_t remaining = op.data.size() - op.sent;
-  const std::size_t chunk = std::min(remaining, max_chunk);
-  const int npackets = static_cast<int>((chunk + data_bytes - 1) / data_bytes);
-  return npackets == 0 ? 1 : npackets;  // zero-length op: one empty packet
+  const std::size_t bytes = std::min(op.data.size() - op.sent, max_chunk);
+  const int npackets = static_cast<int>((bytes + data_bytes - 1) / data_bytes);
+  // A zero-length op still sends one empty packet.
+  return {bytes, npackets == 0 ? 1 : npackets};
 }
 
 bool Endpoint::try_send_next_chunk(int dst, std::uint8_t channel,
@@ -374,13 +349,7 @@ bool Endpoint::try_send_next_chunk(int dst, std::uint8_t channel,
   BulkOp& op = tx.ops.front();
   const int data_bytes = adapter_.params().packet_data_bytes;
   const int window = window_for(channel);
-  const std::size_t max_chunk =
-      static_cast<std::size_t>(std::min(params_.chunk_packets, window)) *
-      static_cast<std::size_t>(data_bytes);
-
-  const std::size_t remaining = op.data.size() - op.sent;
-  const std::size_t chunk = std::min(remaining, max_chunk);
-  const int npackets = planned_chunk_packets(op, window);
+  const auto [chunk, npackets] = plan_chunk(op, window);
 
   if (tx.packets_in_flight + npackets > window) return false;
   if (adapter_.host_send_free() < npackets) return false;
@@ -426,7 +395,6 @@ bool Endpoint::try_send_next_chunk(int dst, std::uint8_t channel,
   stats_.bulk_bytes_sent += chunk;
 
   op.sent += chunk;
-  op.packets_emitted = true;
   if (op_ends) {
     // spam-lint: capacity-ok — drained by poll() each pass; bounded by ops
     // in flight; not allocation-free: the deque allocates and frees blocks

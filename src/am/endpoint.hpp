@@ -108,14 +108,19 @@ class Endpoint {
   /// fires the keep-alive when warranted.
   void poll();
 
-  /// Polls until `done()`; the standard blocking idiom.
+  /// Polls until `done()`; the standard blocking idiom, and the one wait
+  /// loop of this endpoint: store's wait for its op, the window wait and
+  /// the queued-ops drain before a request, reply or get all run here.
   ///
   /// Contract: `done` must change only as a consequence of this endpoint's
-  /// own polling work (handlers, acks, bulk completions) — true for every
-  /// AM-level completion flag.  Under the network fast path the loop then
-  /// merges runs of provably empty polls into one wait of identical total
-  /// virtual time (see merge_empty_polls), so per-poll wake events
-  /// disappear while every observable instant stays bit-identical.
+  /// own polling work (handlers, acks, bulk completions, chunks that
+  /// progress_bulk() pushes) — true for every AM-level completion flag.
+  /// Under the network fast path the loop then merges runs of provably
+  /// empty polls into one wait of identical total virtual time (see
+  /// merge_empty_polls), so per-poll wake events disappear while every
+  /// observable instant stays bit-identical.  The merge never runs while
+  /// send-FIFO space alone could move a queued op (bulk_progress_frozen),
+  /// so the internal waits meet the contract.
   ///
   /// The breach to avoid is a cross-node counter: a predicate on a variable
   /// another node's handler bumps.  No poll here changes it, so a merged
@@ -124,9 +129,8 @@ class Endpoint {
   /// off).  Wait for a reply, or a bulk handler, on this endpoint instead.
   /// On two nodes the merge also spans waits with nothing inbound yet
   /// (Tb2Adapter::host_rx_ready_time), so any cross-node wait can shift.
-  /// Known breaches left are termination waits whose end no printed value
-  /// reads, in bench/micro.cpp's AM round-trip, request/reply-cost and
-  /// bandwidth loops and in perfbench's am_micro.
+  /// Known breaches left are perfbench's am_micro termination waits and
+  /// waits in the tests; no printed value reads their end.
   template <typename Pred>
   void poll_until(Pred&& done) {
     while (!done()) {
@@ -187,7 +191,7 @@ class Endpoint {
 
   /// One queued bulk operation (store, or the data-return leg of a get).
   struct BulkOp {
-    std::uint64_t id = 0;             // unique per endpoint, for blocking waits
+    std::uint64_t id = 0;             // grows with each op; store() waits on it
     int dst = -1;
     std::uint8_t channel = kChanRequest;
     sphw::PayloadRef data;            // snapshot of the source region (pooled)
@@ -196,9 +200,6 @@ class Endpoint {
     int handler = 0;                  // remote bulk handler
     Word arg = 0;
     std::uint32_t cookie = 0;         // get-return correlation id (0 = store)
-    std::uint32_t last_chunk_seq = 0; // filled as chunks are assigned
-    bool packets_emitted = false;     // true once any packet went out
-    bool fully_enqueued = false;
     CompletionFn complete;            // local completion (may be empty)
   };
 
@@ -255,16 +256,27 @@ class Endpoint {
   // Fast path: when the adapter can bound the next packet's arrival and
   // bulk progress is provably frozen, advances the clock across the poll
   // quanta that would sample an empty FIFO (replicating the keep-alive
-  // empty-poll accounting), merging their wake events into one.
+  // empty-poll accounting), merging their wake events into one.  Called
+  // only by poll_until, whose contract makes the merge exact.
   void merge_empty_polls();
   /// True while progress_bulk() cannot do anything at any instant before
   /// the next packet arrives: every queued chunk is blocked by the
   /// flow-control window, which only moves on packet receipt.
   bool bulk_progress_frozen() const;
-  /// Packet count of `op`'s next chunk — the try_send_next_chunk gate.
-  int planned_chunk_packets(const BulkOp& op, int window) const;
+  /// Size of `op`'s next chunk, in bytes and packets (the packet count is
+  /// try_send_next_chunk's window gate).
+  struct ChunkPlan {
+    std::size_t bytes;
+    int packets;
+  };
+  ChunkPlan plan_chunk(const BulkOp& op, int window) const;
   bool have_unacked_retrans() const;
 
+  /// store/store_async's shared start: queues the op, pushes what the
+  /// window allows, and returns the op's id.
+  std::uint64_t queue_store(int dst, void* dst_addr, const void* src,
+                            std::size_t len, int handler, Word arg,
+                            CompletionFn complete);
   /// Appends `op` to `tx`'s queue and counts it in queued_ops_.
   void queue_op(TxChan& tx, BulkOp op);
   // Bulk progress: pushes chunks of queued ops while windows/FIFO allow.

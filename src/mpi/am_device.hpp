@@ -39,15 +39,13 @@
 namespace spam::mpi {
 
 struct MpiAmConfig {
-  bool optimized = true;
   std::size_t peer_buffer_bytes = 16 * 1024;
   /// Messages up to this size use the buffered protocol.
   std::size_t eager_max = 8 * 1024;
   bool hybrid = true;
   std::size_t hybrid_prefix = 4 * 1024;
   bool binned_allocator = true;
-  bool batch_frees = true;
-  int free_batch = 2;  // frees carried per free message (request_4 fits 2)
+  bool batch_frees = true;  // two frees per free message (request_4 fits 2)
   /// Per-message MPI software costs (header build, queue walks).
   double sw_send_us = 1.0;
   double sw_recv_us = 1.0;
@@ -60,7 +58,6 @@ struct MpiAmConfig {
   static MpiAmConfig opt() { return MpiAmConfig{}; }
   static MpiAmConfig unopt() {
     MpiAmConfig c;
-    c.optimized = false;
     c.eager_max = 16 * 1024 - 64;  // switch at ~16 KB, within the region
     c.hybrid = false;
     c.binned_allocator = false;

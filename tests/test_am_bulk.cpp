@@ -206,6 +206,47 @@ TEST(AmBulk, ChunkCountMatchesProtocol) {
   EXPECT_EQ(f.net.ep(0).stats().chunks_sent, 4u);
 }
 
+// Eight rounds of a blocking 64 KB store and a drain to no outstanding
+// ops, on two thin nodes; node 1 waits on the stores its own bulk handler
+// saw land.  store() waits through poll_until, so its window-blocked polls
+// merge like any other wait.  The count is exact, and the end instant must
+// equal the per-hop run's.
+TEST(AmBulk, BlockingStoreEventCountIsExact) {
+  auto run = [](bool fastpath) {
+    Fixture f(2);
+    f.world.engine().set_fastpath(fastpath);
+    Endpoint& e0 = f.net.ep(0);
+    Endpoint& e1 = f.net.ep(1);
+    constexpr int kRounds = 8;
+    constexpr std::size_t kLen = 64 * 1024;
+    auto src = pattern(kLen);
+    std::vector<std::byte> dst(kLen);
+    int landed = 0;
+    const int h = e1.register_bulk_handler(
+        [&](Endpoint&, Token, void*, std::size_t, Word) { ++landed; });
+    sim::Time end = 0;
+    f.world.spawn(0, [&](sim::NodeCtx& ctx) {
+      for (int i = 0; i < kRounds; ++i) {
+        e0.store(1, dst.data(), src.data(), kLen, h);
+        e0.poll_until([&] { return e0.outstanding_bulk_ops() == 0; });
+      }
+      end = ctx.now();
+    });
+    f.world.spawn(1, [&](sim::NodeCtx&) {
+      e1.poll_until([&] { return landed >= kRounds; });
+    });
+    f.world.run();
+    EXPECT_TRUE(spam::test::bytes_equal(dst.data(), src.data(), kLen));
+    return std::make_pair(end, f.world.engine().events_executed());
+  };
+  const auto [end, events] = run(true);
+  const auto [end_off, events_off] = run(false);
+  EXPECT_EQ(end, end_off);
+  EXPECT_EQ(end, 15578908u);
+  EXPECT_EQ(events, 9552u);
+  EXPECT_EQ(events_off, 21395u);
+}
+
 TEST(AmBulk, AsyncStoreBandwidthMatchesPaper) {
   // Pipelined 1 MB store should run at the paper's asymptotic 34.3 MB/s
   // (within a band; the limiter is the 40 MB/s link at 224/256 efficiency).

@@ -25,8 +25,9 @@
 #                  pass's outputs), every workload traced at seed 1 against
 #                  the exact counters in tools/perf_counters.txt, and its
 #                  C++ and Python unit tests
-#   asan           -fsanitize=address build + full suite
-#   ubsan          -fsanitize=undefined (no recovery) build + full suite
+#   asan           -fsanitize=address build, asserts on + full suite
+#   ubsan          -fsanitize=undefined (no recovery) build, asserts on +
+#                  full suite
 #   tsan           ThreadSanitizer build + the `driver` label tests
 #   ucontext       -DSPAM_SIM_FORCE_UCONTEXT build + full test suite: the
 #                  portable fiber switch non-x86-64 hosts use, which shares
