@@ -3,6 +3,7 @@
 #include <limits>
 #include <utility>
 
+#include "sim/fiber.hpp"
 #include "sim/hot.hpp"
 
 namespace spam::sim {
@@ -48,10 +49,10 @@ void Engine::grow() {
   head_ = 0;
 }
 
-SPAM_HOT void Engine::at(Time t, Action fn) {
+SPAM_HOT void Engine::insert(Time t, std::uintptr_t p) {
+  static_assert(alignof(Node) > kWakeTag && alignof(Fiber) > kWakeTag,
+                "node and fiber addresses must leave the wake tag bit free");
   if (t < now_) t = now_;
-  Node* n = acquire();
-  n->fn = std::move(fn);
   if (count_ == ring_.size()) grow();
   // Locals, not members: the entry stores below could otherwise alias
   // head_ and count_ and force a reload on every step of the moves.
@@ -80,8 +81,18 @@ SPAM_HOT void Engine::at(Time t, Action fn) {
       ring[(head + i) & mask] = ring[(head + i - 1) & mask];
     }
   }
-  ring[(head + lo) & mask] = Entry{t, n};
+  ring[(head + lo) & mask] = Entry{t, p};
   count_ = count + 1;
+}
+
+SPAM_HOT void Engine::at(Time t, Action fn) {
+  Node* n = acquire();
+  n->fn = std::move(fn);
+  insert(t, reinterpret_cast<std::uintptr_t>(n));
+}
+
+SPAM_HOT void Engine::wake_at(Time t, Fiber* f) {
+  insert(t, reinterpret_cast<std::uintptr_t>(f) | kWakeTag);
 }
 
 SPAM_HOT bool Engine::step() {
@@ -91,10 +102,15 @@ SPAM_HOT bool Engine::step() {
   --count_;
   now_ = next.t;
   ++executed_;
+  if ((next.p & kWakeTag) != 0) {
+    reinterpret_cast<Fiber*>(next.p & ~kWakeTag)->resume();
+    return true;
+  }
   // Move the action out and recycle the node *before* invoking: the event
   // body usually schedules the next event, which then reuses this hot node.
-  Action fn = std::move(next.n->fn);
-  release(next.n);
+  Node* const n = reinterpret_cast<Node*>(next.p);
+  Action fn = std::move(n->fn);
+  release(n);
   fn();
   return true;
 }

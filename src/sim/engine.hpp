@@ -5,11 +5,13 @@
 // design; concurrency in the simulated system is expressed as interleaved
 // events, never as host threads.
 //
-// The queue is one circular buffer of (t, node) entries kept sorted by time,
-// with equal times in scheduling order, so the next event is always the
-// entry at the head.  at() finds its slot by binary search, after every
-// entry at or before its own time, which keeps same-time events FIFO by
-// position alone, and opens it by moving the shorter side of the buffer one
+// The queue is one circular buffer of (t, node | fiber) entries kept sorted
+// by time, with equal times in scheduling order, so the next event is
+// always the entry at the head.  An entry holds either an action node
+// (at()) or a bare fiber wake (wake_at()); both go through one insert,
+// which finds the slot by binary search, after every entry at or before
+// its own time, which keeps same-time events FIFO by position alone across
+// both kinds, and opens it by moving the shorter side of the buffer one
 // place outward.  Most queues are shallow (a few to a few dozen pending
 // events) and most events land near the end, so an insert moves a few
 // entries; on deep queues (thousands of events in the full Table 5 run)
@@ -17,16 +19,21 @@
 // buffer keeps its high-water size: in steady state scheduling an event
 // allocates nothing.
 //
-// Nodes are recycled through a free list and each node embeds its action in
-// InlineAction small-buffer storage.  pool_stats() exposes the allocation
+// Action nodes are recycled through a free list and each node embeds its
+// action in InlineAction small-buffer storage.  A wake entry needs neither:
+// step() calls Fiber::resume() on it directly, with no node, no action
+// relocation and no indirect call.  pool_stats() exposes the allocation
 // counters that let benchmarks and tests assert the zero-allocation
 // property.
 //
 // The engine also hosts the elapse skip used by the fiber layer
 // (src/sim/world.cpp): try_skip_elapse(d) advances the clock across a dead
-// interval without scheduling a wake event, when provably equivalent (no
-// pending event at or before now()+d, and now()+d within the active run
-// deadline).
+// interval without queueing a wake, when provably equivalent (no pending
+// event at or before now()+d, and now()+d within the active run
+// deadline).  Since the fiber handoff a skipped wake would not have cost a
+// stack switch either; the skip saves the insert and pop of one bare wake
+// entry, and still pays for itself on the two-node microbenchmark's
+// latency (docs/network-fastpath.md, "Surviving shortcuts").
 #pragma once
 
 #include <cstddef>
@@ -39,6 +46,8 @@
 #include "sim/time.hpp"
 
 namespace spam::sim {
+
+class Fiber;
 
 class Engine {
  public:
@@ -56,6 +65,11 @@ class Engine {
 
   /// Schedules `fn` to run `delay` ticks from now.
   void after(Time delay, Action fn) { at(now_ + delay, std::move(fn)); }
+
+  /// Schedules a bare wake of `f` at absolute time `t` (clamped to now()):
+  /// at its turn the event is f->resume() and nothing else.  Same-time
+  /// order with at() events is scheduling order, as among at() events.
+  void wake_at(Time t, Fiber* f);
 
   /// Runs events until the queue drains or stop() is called.
   /// Returns the number of events executed, including those a hosted
@@ -125,12 +139,12 @@ class Engine {
   struct PoolStats {
     std::uint64_t nodes_allocated = 0;      // pool growth, total nodes ever
     std::uint64_t nodes_free = 0;           // currently on the free list
-    std::uint64_t nodes_live = 0;           // currently queued
+    std::uint64_t nodes_live = 0;           // action nodes in the queue
     std::uint64_t action_heap_fallbacks = 0;  // InlineAction heap closures
     std::uint64_t queue_capacity = 0;       // event buffer's high water
   };
   PoolStats pool_stats() const {
-    return {nodes_allocated_, nodes_free_, pending(),
+    return {nodes_allocated_, nodes_free_, nodes_allocated_ - nodes_free_,
             InlineAction::heap_fallbacks(), ring_.size()};
   }
 
@@ -141,14 +155,18 @@ class Engine {
   };
 
   /// One queued event.  The time lives in the entry, not the node, so the
-  /// binary search and the peek read the buffer alone.
+  /// binary search and the peek read the buffer alone.  `p` is a Node*, or
+  /// a Fiber* with kWakeTag set for a bare wake (both are at least 2-byte
+  /// aligned, which engine.cpp asserts).
   struct Entry {
     Time t;
-    Node* n;
+    std::uintptr_t p;
   };
+  static constexpr std::uintptr_t kWakeTag = 1;
 
   Node* acquire();
   void release(Node* n);
+  void insert(Time t, std::uintptr_t p);
 
   // Node storage: fixed-size blocks keep node addresses stable while the
   // pool grows; the free list threads through recycled nodes.

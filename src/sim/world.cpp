@@ -13,23 +13,22 @@ void NodeCtx::elapse(Time d) {
   // same order as per-call elapses, so the wake instant is bit-identical.
   d += debt_;
   debt_ = 0;
-  // Fast path: when no pending event would fire during the interval, the
-  // wake timer and two fiber switches are pure overhead — advance the
-  // clock in place.  Equivalent because nothing could have observed or
-  // interleaved with this node while it slept.
+  // Fast path: when no pending event would fire during the interval,
+  // advance the clock in place.  Equivalent because nothing could have
+  // observed or interleaved with this node while it slept.  The wake it
+  // saves would cost no stack switch (the yielding fiber hosts the loop and
+  // its own wake is the next event), only the insert and pop of a bare
+  // wake entry, but that still shows in the two-node latency
+  // (docs/network-fastpath.md, "Surviving shortcuts").
   if (engine().try_skip_elapse(d)) return;
   sleep_state_ = SleepState::kElapsing;
-  auto wake = [this] {
-    // Only our own timer ends an elapse; resumers cannot shorten charged
-    // CPU time (they latch wake_pending_ instead).
-    assert(sleep_state_ == SleepState::kElapsing);
-    sleep_state_ = SleepState::kRunning;
-    fiber_->resume();
-  };
-  static_assert(Engine::Action::fits_inline<decltype(wake)>,
-                "elapse() timer closure must not heap-allocate");
-  engine().after(d, std::move(wake));
+  engine().wake_at(engine().now() + d, fiber_);
   park();
+  // Only our own wake ends an elapse; resumers cannot shorten charged CPU
+  // time (they latch wake_pending_ instead).  The wake switches straight
+  // into this fiber, so no event runs between it and this store.
+  assert(sleep_state_ == SleepState::kElapsing);
+  sleep_state_ = SleepState::kRunning;
 }
 
 void NodeCtx::park() {
@@ -117,7 +116,7 @@ void World::launch_pending() {
         },
         512 * 1024, "node" + std::to_string(rank));
     ctx.fiber_ = fiber.get();
-    engine_.at(engine_.now(), [f = fiber.get()] { f->resume(); });
+    engine_.wake_at(engine_.now(), fiber.get());
     fibers_.push_back(std::move(fiber));
   }
   pending_.clear();

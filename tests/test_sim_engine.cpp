@@ -3,9 +3,11 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/fiber.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
 
@@ -152,7 +154,7 @@ TEST(Engine, TrySkipElapseRespectsQueuedEvents) {
   e.at(0, [&] {
     e.after(100, [&ran] { ran = true; });
     // Skip would cross (or tie) the queued event: must be denied.  A tie
-    // must be denied because the queued event has the smaller seq.
+    // must be denied because the queued event was scheduled first.
     EXPECT_FALSE(e.try_skip_elapse(150));
     EXPECT_FALSE(e.try_skip_elapse(100));
     // Strictly before the queued event: allowed, advances the clock.
@@ -187,11 +189,41 @@ TEST(Engine, TrySkipElapseDisabledInPerHopMode) {
   e.run();
 }
 
+// A bare wake is a queue entry with no node: it counts as pending but not
+// as a live node, and scheduling one never grows the node pool.
+TEST(Engine, WakeEntriesTakeNoNode) {
+  Engine e;
+  int woke = 0;
+  Fiber f([&] {
+    for (;;) {
+      ++woke;
+      Fiber::yield();
+    }
+  });
+  e.wake_at(10, &f);
+  EXPECT_EQ(e.pending(), 1u);
+  EXPECT_EQ(e.pool_stats().nodes_allocated, 0u);
+  EXPECT_EQ(e.pool_stats().nodes_live, 0u);
+  e.at(10, [&] {
+    EXPECT_EQ(woke, 1) << "the wake queued first runs first";
+    e.wake_at(20, &f);
+  });
+  EXPECT_EQ(e.pending(), 2u);
+  EXPECT_EQ(e.pool_stats().nodes_live, 1u);
+  e.run();
+  EXPECT_EQ(woke, 2);
+  EXPECT_EQ(e.now(), 20u);
+  EXPECT_EQ(e.events_executed(), 3u);
+  EXPECT_EQ(e.pool_stats().nodes_live, 0u);
+}
+
 // Reference model: the engine must run events in the order of a stable
-// sort of (time after clamping to now(), scheduling order).  The workload
-// mixes clustered equal times, past times (clamped), far-future times and
-// events scheduled from inside events, and runs in run_until() slices so
-// the clock and queue persist across runs.
+// sort of (time after clamping to now(), scheduling order), whichever
+// entry kind each is: an action node (at()) or a bare wake of a real fiber
+// (wake_at()).  The workload mixes clustered equal times, past times
+// (clamped), far-future times and events scheduled from inside actions and
+// from inside woken fibers, and runs in run_until() slices with the loop
+// hosted on the fiber stacks, so the clock and queue persist across runs.
 TEST(Engine, MatchesStableSortReference) {
   struct Scheduled {
     Time t;  // clamped time the event must run at
@@ -205,6 +237,7 @@ TEST(Engine, MatchesStableSortReference) {
   constexpr int kEvents = 60000;
   int next_id = 0;
   std::size_t max_pending = 0;
+  int wakes = 0;
 
   // Picks a target time relative to now(): equal-time clusters, the past,
   // the near future and the far future.
@@ -220,13 +253,31 @@ TEST(Engine, MatchesStableSortReference) {
         return (now / kUsec + 1 + rng.next_below(3)) * kUsec;
     }
   };
+  // Fibers with no wake queued take every other event short of the far
+  // future as a bare wake; a woken fiber runs the event's body with the id
+  // its wake carried, then parks again.  A fiber may queue its own next
+  // wake, as elapse() does.
+  constexpr int kFibers = 32;
+  std::vector<std::unique_ptr<Fiber>> fibers;
+  std::vector<int> wake_id(kFibers, -1);
+  std::vector<int> idle;
   std::function<void(int)> body;
   auto schedule = [&] {
     if (next_id >= kEvents) return;
     const Time t = pick();
     const int id = next_id++;
     scheduled.push_back({std::max(t, e.now()), id});
-    e.at(t, [&body, id] { body(id); });
+    if (t < e.now() + kMsec && !idle.empty() && rng.next_below(2) == 0) {
+      const auto i = static_cast<std::size_t>(rng.next_below(idle.size()));
+      const int f = idle[i];
+      idle[i] = idle.back();
+      idle.pop_back();
+      wake_id[f] = id;
+      e.wake_at(t, fibers[f].get());
+      ++wakes;
+    } else {
+      e.at(t, [&body, id] { body(id); });
+    }
     max_pending = std::max(max_pending, e.pending());
   };
   body = [&](int id) {
@@ -236,10 +287,24 @@ TEST(Engine, MatchesStableSortReference) {
     const std::uint64_t children = rng.next_below(3);
     for (std::uint64_t c = 0; c < children; ++c) schedule();
   };
+  for (int f = 0; f < kFibers; ++f) {
+    fibers.push_back(std::make_unique<Fiber>(
+        [&, f] {
+          for (;;) {
+            const int id = wake_id[f];
+            idle.push_back(f);
+            body(id);
+            Fiber::yield();
+          }
+        },
+        128 * 1024));
+    idle.push_back(f);
+  }
 
   // Seed the queue from outside any event, then run in 5 us slices,
   // topping the queue up between slices until every event has been
   // scheduled.  A slice that finds nothing due steps to the next event.
+  Fiber::host(&e);
   for (int i = 0; i < 200; ++i) schedule();
   Time deadline = 0;
   while (!e.empty() || next_id < kEvents) {
@@ -248,11 +313,15 @@ TEST(Engine, MatchesStableSortReference) {
     if (e.run_until(deadline) == 0 && e.step()) deadline = e.now();
     for (int i = 0; i < 5; ++i) schedule();
   }
+  Fiber::host(nullptr);
 
   ASSERT_EQ(ran.size(), static_cast<std::size_t>(kEvents));
   // Far-future events pile up: the queue must get deep enough that inserts
   // move either side of the buffer and the buffer grows several times.
   EXPECT_GT(max_pending, 1024u);
+  // Both entry kinds are well represented.
+  EXPECT_GT(wakes, kEvents / 10);
+  EXPECT_LT(wakes, kEvents - kEvents / 10);
   std::vector<Scheduled> expect = scheduled;
   std::stable_sort(expect.begin(), expect.end(),
                    [](const Scheduled& a, const Scheduled& b) {

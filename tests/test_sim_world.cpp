@@ -82,6 +82,35 @@ TEST(World, ResumerBeforeSuspendIsNotLost) {
   EXPECT_TRUE(done);
 }
 
+// A resumer fired at the instant an elapse ends, queued ahead of the wake,
+// finds the node still elapsing and latches, so the suspend() after the
+// elapse returns at once with no further wake.  Queued behind the wake, it
+// finds the node waiting and wakes it at the same instant.
+TEST(World, ResumerAtTheElapseWakeInstantIsLatched) {
+  for (const bool ahead : {true, false}) {
+    World w(1);
+    Time woke = 0;
+    std::uint64_t resumes = 0;
+    w.spawn(0, [&](NodeCtx& ctx) {
+      auto wake = ctx.make_resumer();
+      const std::uint64_t resumes0 = Fiber::resume_count();
+      if (ahead) {
+        ctx.engine().at(100, [&wake] { wake(); });
+      } else {
+        // Runs at 0, after the elapse below has queued its wake at 100.
+        ctx.engine().at(0, [&] { ctx.engine().at(100, [&wake] { wake(); }); });
+      }
+      ctx.elapse(100);
+      ctx.suspend();
+      woke = ctx.now();
+      resumes = Fiber::resume_count() - resumes0;
+    });
+    w.run();
+    EXPECT_EQ(woke, 100u) << "ahead=" << ahead;
+    EXPECT_EQ(resumes, ahead ? 1u : 2u) << "ahead=" << ahead;
+  }
+}
+
 TEST(World, PollUntilChargesPollCost) {
   World w(2);
   bool flag = false;
@@ -236,12 +265,12 @@ TEST(Handoff, EngineRunCountsEventsHostedOnFiberStacks) {
   Fiber f([&] {
     for (int i = 0; i < 5; ++i) {
       e.after(1, [&plain] { ++plain; });
-      e.after(2, [&self] { self->resume(); });
+      e.wake_at(e.now() + 2, self);
       Fiber::yield();
     }
   });
   self = &f;
-  e.at(0, [&f] { f.resume(); });
+  e.wake_at(0, &f);
   Fiber::host(&e);
   const std::uint64_t first = e.run_until(2);  // launch, plain, wake
   const std::uint64_t rest = e.run();

@@ -145,5 +145,38 @@ TEST(SteadyState, WarmBulkStreamAllocatesNothing) {
   expect_no_growth(bulk().new_allocs);
 }
 
+// Two nodes elapsing in lockstep: the peer's wake at the same instant
+// denies every skip, so every elapse queues a wake, and a wake (like a
+// launch) is a bare queue entry.  The run never takes an event node.
+TEST(SteadyState, WarmElapseLockstepTakesNoEventNode) {
+  constexpr int kWarm = 10;
+  constexpr int kIters = 1000;
+  sim::World world(2);
+  int live_at_wake = 0;  // wakes that found an action node queued
+  std::uint64_t resumes = 0;
+  AllocCounters grown;
+  world.spawn(0, [&](sim::NodeCtx& ctx) {
+    for (int i = 0; i < kWarm; ++i) ctx.elapse(100);
+    const AllocCounters a0 = AllocCounters::sample(ctx.engine());
+    const std::uint64_t resumes0 = sim::Fiber::resume_count();
+    for (int i = 0; i < kIters; ++i) {
+      ctx.elapse(100);
+      if (ctx.engine().pool_stats().nodes_live != 0) ++live_at_wake;
+    }
+    resumes = sim::Fiber::resume_count() - resumes0;
+    grown = AllocCounters::sample(ctx.engine()) - a0;
+  });
+  world.spawn(1, [&](sim::NodeCtx& ctx) {
+    for (int i = 0; i < kWarm + kIters; ++i) ctx.elapse(100);
+  });
+  world.run();
+  EXPECT_EQ(live_at_wake, 0);
+  // Each node's kIters wakes, none skipped: node 0 samples after its own
+  // wake and before node 1's at the same instant.
+  EXPECT_EQ(resumes, 2u * kIters);
+  expect_no_growth(grown);
+  EXPECT_EQ(world.engine().pool_stats().nodes_allocated, 0u);
+}
+
 }  // namespace
 }  // namespace spam
